@@ -23,7 +23,8 @@ from .expforms import (ExpForm, ext_d, conjugate_form, omega_coordinate,
 from .lattices import (EigenReport, classify_eigen, char_poly,
                        semisimple_commuting_check, LatticeSpec,
                        build_lattice_nilpotent, build_lattice_nonnilpotent,
-                       nakamura_lattice, search_palindromic, SearchEntry,
+                       nakamura_lattice, classify_palindromic,
+                       search_palindromic, SearchEntry,
                        companion_palindromic)
 from .catalog import (CatalogEntry, get, list_names, group_law_eval,
                       brackets_from_group_law, GroupLawReport)

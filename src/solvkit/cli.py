@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import catalog, cohomology, cxstruct, expforms, jsonio, lattices, report
 from .errors import (BoundTooLarge, NoGroupLaw, NotIntegrable, ParamOutOfRange,
@@ -220,9 +220,10 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_paper_report(args) -> int:
-    started = time.time()
-    verdicts = report.run_all()
-    elapsed = time.time() - started
+    seconds: Dict[str, float] = {}
+    started = time.perf_counter()
+    verdicts = report.run_all(seconds)
+    elapsed = time.perf_counter() - started
     names = catalog.list_names()
     digest = hashlib.sha256(
         json.dumps(names).encode("utf-8")).hexdigest()
@@ -230,7 +231,7 @@ def cmd_paper_report(args) -> int:
         "command": "paper-report",
         "inputs_digest": digest,
         "verdicts": verdicts,
-        "timings": {"total_seconds": elapsed},
+        "timings": {"total_seconds": elapsed, "checks": seconds},
     }
     if args.out:
         with open(args.out, "w") as fh:

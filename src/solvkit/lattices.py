@@ -22,8 +22,8 @@ from . import linalg
 from .errors import (BoundTooLarge, DegenerateEigenvectors, NoNonRealEigenvalue,
                      NotReciprocal, NotSemisimple, NotSpecialLinear,
                      NotSquarefree, TraceTooSmall)
-from .polys import (Poly, all_roots_real, count_real_roots,
-                    has_unit_modulus_root, is_squarefree, squarefree_part)
+from .polys import (Poly, count_real_roots, has_unit_modulus_root,
+                    is_squarefree, squarefree_part)
 from .scalars import Scalar
 
 RESIDUAL_TOL = 1e-9
@@ -348,12 +348,49 @@ class SearchEntry:
     reason: str
 
 
+def classify_palindromic(p: int, q: int) -> Tuple[str, str]:
+    """Tag and reason for t^4 + p t^3 + q t^2 + p t + 1, in integers only.
+
+    With u = t + 1/t the quartic is t^2 Q(u), Q(u) = u^2 + p u + (q - 2).
+    A root u gives the roots of t^2 - u t + 1: two non-real ones off the
+    unit circle when u is not real, two distinct real ones when u is real
+    with |u| > 2, a double root t = +-1 when u = +-2, and a conjugate pair
+    on the unit circle when u is real in (-2, 2). Hence, from
+    disc = p^2 - 4(q - 2) and the signs of Q(2) and Q(-2):
+
+    - not squarefree iff disc = 0 (double u) or Q(2) = 0 or Q(-2) = 0;
+    - 3b iff disc < 0;
+    - 3a iff both u lie outside [-2, 2]: Q(2), Q(-2) < 0 (one u on each
+      side), or Q(2), Q(-2) > 0 with the vertex -p/2 outside [-2, 2];
+    - otherwise some u lies in (-2, 2): a unit-modulus root.
+    """
+    disc = p * p - 4 * (q - 2)
+    q_plus = 2 + 2 * p + q
+    q_minus = 2 - 2 * p + q
+    if disc == 0 or q_plus == 0 or q_minus == 0:
+        return "excluded", "not_squarefree"
+    if disc < 0:
+        return "3b", "no_real_roots"
+    if (q_plus < 0 and q_minus < 0) or \
+            (q_plus > 0 and q_minus > 0 and abs(p) > 4):
+        return "3a", "all_roots_real"
+    return "excluded", "unit_modulus_root"
+
+
 def search_palindromic(bound: int) -> List[SearchEntry]:
     """Scan t^4 + p t^3 + q t^2 + p t + 1 over |p|, |q| <= bound.
 
     Every pair is reported: squarefree polynomials without unit-modulus
     roots are tagged 3a (four real roots) or 3b (no real roots); anything
     else is excluded with the reason recorded. Deterministic order.
+
+    Each pair is tagged by `classify_palindromic`, an integer rule on
+    disc = p^2 - 4(q - 2) and the signs of Q(+-2), Q(u) = u^2 + pu + q - 2,
+    which agrees with the general exact route (`is_squarefree`, then
+    `classify_eigen`) on every pair. A squarefree quartic with no
+    unit-modulus root has either four real roots or none: a real u inside
+    [-2, 2] always yields a unit-modulus root, so no mixed real count is
+    possible and no tag exists for one.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -362,26 +399,10 @@ def search_palindromic(bound: int) -> List[SearchEntry]:
     out: List[SearchEntry] = []
     for p in range(-bound, bound + 1):
         for q in range(-bound, bound + 1):
-            poly = Poly([1, p, q, p, 1])
-            comp = companion_palindromic(p, q)
-            if not is_squarefree(poly):
-                entry = SearchEntry(p, q, poly, _freeze(comp),
-                                    "excluded", "not_squarefree")
-            else:
-                report = classify_eigen(poly)
-                if report.unit_modulus_root:
-                    entry = SearchEntry(p, q, poly, _freeze(comp),
-                                        "excluded", "unit_modulus_root")
-                elif report.real_roots == 4:
-                    entry = SearchEntry(p, q, poly, _freeze(comp),
-                                        "3a", "all_roots_real")
-                elif report.real_roots == 0:
-                    entry = SearchEntry(p, q, poly, _freeze(comp),
-                                        "3b", "no_real_roots")
-                else:
-                    entry = SearchEntry(p, q, poly, _freeze(comp),
-                                        "excluded", "mixed_real_count")
-            out.append(entry)
+            classification, reason = classify_palindromic(p, q)
+            out.append(SearchEntry(p, q, Poly([1, p, q, p, 1]),
+                                   _freeze(companion_palindromic(p, q)),
+                                   classification, reason))
     return out
 
 

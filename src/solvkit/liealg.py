@@ -202,7 +202,7 @@ class LieAlgebra:
         ad_basis = [self.adjoint(self._e(i)) for i in range(n)]
         space = Subspace(n, linalg.identity(n))
         while True:
-            gens = [self._ad_of(space_row) for space_row in space.basis]
+            gens = [self.adjoint(space_row) for space_row in space.basis]
             closure = _associative_closure(gens, n)
             rows = []
             for m in closure:
@@ -215,9 +215,6 @@ class LieAlgebra:
             space = new
         self._validate_nilradical(space)
         return space
-
-    def _ad_of(self, v: Sequence) -> List[List[Scalar]]:
-        return self.adjoint(v)
 
     def _validate_nilradical(self, space: Subspace) -> None:
         if not (self.derived_subalgebra() <= space):

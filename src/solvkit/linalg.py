@@ -326,9 +326,3 @@ class Subspace:
             vecs.append(v)
         return Subspace(self.ambient, vecs)
 
-
-def subspace_sum(spaces: Sequence[Subspace], ambient: int) -> Subspace:
-    vecs: List[Vec] = []
-    for s in spaces:
-        vecs.extend(s.basis)
-    return Subspace(ambient, vecs)

@@ -3,15 +3,16 @@ paper-report subcommand and the test suite.
 
 Each check_* function returns a plain dict {check_id, status, detail,
 witness?} with JSON-safe values only, in a deterministic field order, so
-two runs of run_all() serialize byte-identically. Timings are deliberately
+two runs of run_all(...) serialize byte-identically. Timings are deliberately
 kept out of these payloads; the CLI attaches them one level up.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -331,23 +332,30 @@ def check_example3() -> dict:
     return _fail("C9-example3-kahler", detail, detail)
 
 
-def _core_payload() -> List[dict]:
-    return [
-        check_theorem4_catalog(),
-        check_winkelmann_table(),
-        check_example6(),
-        check_theorem9_pipeline(),
-        check_obstruction_and_r(),
-        check_round_trip(),
-        check_lattice_search(),
-        check_group_laws(),
-        check_example3(),
-    ]
+def _timed(check, seconds: Dict[str, float]) -> dict:
+    started = time.perf_counter()
+    verdict = check()
+    seconds[verdict["check_id"]] = time.perf_counter() - started
+    return verdict
+
+
+def _core_payload(seconds: Dict[str, float]) -> List[dict]:
+    return [_timed(check, seconds) for check in (
+        check_theorem4_catalog,
+        check_winkelmann_table,
+        check_example6,
+        check_theorem9_pipeline,
+        check_obstruction_and_r,
+        check_round_trip,
+        check_lattice_search,
+        check_group_laws,
+        check_example3,
+    )]
 
 
 def check_determinism() -> dict:
-    first = json.dumps(_core_payload(), allow_nan=False)
-    second = json.dumps(_core_payload(), allow_nan=False)
+    first = json.dumps(_core_payload({}), allow_nan=False)
+    second = json.dumps(_core_payload({}), allow_nan=False)
     detail = {"identical": first == second, "bytes": len(first)}
     if first == second:
         return _ok("C10-determinism", detail)
@@ -355,9 +363,14 @@ def check_determinism() -> dict:
                                                          len(second)]})
 
 
-def run_all() -> List[dict]:
-    verdicts = _core_payload()
-    verdicts.append(check_determinism())
+def run_all(seconds: Dict[str, float]) -> List[dict]:
+    """The ten verdicts in order.
+
+    `seconds` receives each check's `perf_counter` time keyed by check id;
+    C10's time includes the two core passes it compares.
+    """
+    verdicts = _core_payload(seconds)
+    verdicts.append(_timed(check_determinism, seconds))
     return verdicts
 
 

@@ -1,6 +1,10 @@
 """Command line surface: exit codes and JSON payloads."""
 
+import io
 import json
+from contextlib import redirect_stdout
+
+import pytest
 
 from solvkit import jsonio
 from solvkit.catalog import get
@@ -191,14 +195,35 @@ def test_lattice_build_rejects_bad_matrix(capsys, tmp_path):
     assert code == 3
 
 
-def test_paper_report(capsys, tmp_path):
-    out_file = tmp_path / "report.json"
-    code, doc, _ = run_json(capsys, ["paper-report", "--out", str(out_file)])
+@pytest.fixture(scope="module")
+def paper_report(tmp_path_factory):
+    """One paper-report run, the slowest command, shared by the tests below."""
+    out_file = tmp_path_factory.mktemp("report") / "report.json"
+    printed = io.StringIO()
+    with redirect_stdout(printed):
+        code = main(["paper-report", "--out", str(out_file)])
+    return code, json.loads(printed.getvalue()), \
+        json.loads(out_file.read_text())
+
+
+def test_paper_report(paper_report):
+    code, doc, stored = paper_report
     assert code == 1    # one documented red check
     by_id = {v["check_id"]: v["status"] for v in doc["verdicts"]}
     assert len(by_id) == 10
     assert by_id["C4-theorem9-pipeline"] == "fail"
     passing = [k for k, v in by_id.items() if v == "pass"]
     assert len(passing) == 9
-    stored = json.loads(out_file.read_text())
-    assert stored["verdicts"] == doc["verdicts"]
+    assert stored == doc
+
+
+def test_paper_report_timings_per_check(paper_report):
+    _, doc, _ = paper_report
+    checks = doc["timings"]["checks"]
+    assert sorted(checks) == sorted(v["check_id"] for v in doc["verdicts"])
+    assert len(checks) == 10
+    for seconds in checks.values():
+        assert isinstance(seconds, float) and seconds >= 0.0
+    assert isinstance(doc["timings"]["total_seconds"], float)
+
+

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solvkit import lattices
 from solvkit.errors import (BoundTooLarge, DegenerateEigenvectors,
@@ -11,10 +13,11 @@ from solvkit.errors import (BoundTooLarge, DegenerateEigenvectors,
                             NotSpecialLinear, NotSquarefree, TraceTooSmall)
 from solvkit.lattices import (build_lattice_nilpotent,
                               build_lattice_nonnilpotent, char_poly,
-                              classify_eigen, companion_palindromic,
-                              nakamura_lattice, search_palindromic,
+                              classify_eigen, classify_palindromic,
+                              companion_palindromic, nakamura_lattice,
+                              search_palindromic,
                               semisimple_commuting_check)
-from solvkit.polys import Poly
+from solvkit.polys import Poly, is_squarefree
 
 EXAMPLE6 = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, 1, -3, 1]]
 
@@ -197,3 +200,45 @@ def test_search_reasons_cover_edge_cases():
         search_palindromic(51)
     with pytest.raises(ValueError):
         search_palindromic(-1)
+
+
+def _sturm_reference(p, q):
+    """The general exact route: squarefree gcd, then Sturm and unit circle."""
+    poly = Poly([1, p, q, p, 1])
+    if not is_squarefree(poly):
+        return "excluded", "not_squarefree"
+    report = classify_eigen(poly)
+    if report.unit_modulus_root:
+        return "excluded", "unit_modulus_root"
+    if report.real_roots == 4:
+        return "3a", "all_roots_real"
+    if report.real_roots == 0:
+        return "3b", "no_real_roots"
+    return "excluded", "mixed_real_count"
+
+
+def test_search_matches_sturm_route_on_whole_cap():
+    """Integer rule against the exact gcd/Sturm route on all 10 201 pairs."""
+    table = search_palindromic(50)
+    assert len(table) == 101 * 101
+    mismatches = [(e.p, e.q) for e in table
+                  if (e.classification, e.reason) != _sturm_reference(e.p, e.q)]
+    assert mismatches == []
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(-10 ** 4, 10 ** 4), st.integers(-10 ** 4, 10 ** 4))
+@example(4, 6)      # disc = 0: (t + 1)^4
+@example(2, 3)      # disc = 0 alone: (t^2 + t + 1)^2
+@example(3, -8)     # Q(2) = 0
+@example(0, -2)     # Q(2) = Q(-2) = 0
+@example(5, 8)      # Q(-2) = 0
+@example(4, 7)      # |p| = 4, Q(2), Q(-2) > 0
+@example(-4, 7)     # |p| = 4, Q(2), Q(-2) > 0
+@example(7, 13)     # |p| > 4, Q(2), Q(-2) > 0: both u below -2
+@example(0, -3)     # Q(2), Q(-2) < 0: one u on each side of [-2, 2]
+@example(5, 7)      # Q(2) > 0 > Q(-2): one u inside (-2, 2)
+@example(1, 1)      # Q(2), Q(-2) > 0 with |p| < 4: both u inside (-2, 2)
+@example(-1, 3)     # Example 6, disc < 0
+def test_classify_palindromic_matches_sturm_route(p, q):
+    assert classify_palindromic(p, q) == _sturm_reference(p, q)
