@@ -137,24 +137,13 @@ def cmd_classify_form(args) -> int:
 
 
 def cmd_verify_theorem9(args) -> int:
-    omega_c = expforms.omega_coordinate()
-    omega_m = expforms.omega_mc()
-    checks = {}
-    checks["presentations_equal"] = omega_c == omega_m
-    checks["d_omega_zero"] = (expforms.ext_d(omega_c).is_zero()
-                              and expforms.ext_d(omega_m).is_zero())
-    inv = True
-    for k in (-2, -1, 0, 1, 2):
-        t = expforms.LatticeTranslation(
-            w1_re=Fraction(1), w1_im_pi=Fraction(k),
-            w2_re=Fraction(1, 3), w3_re=Fraction(-2))
-        inv = inv and expforms.pullback_translation(omega_c, t) == omega_c
-    checks["invariance_k1"] = inv
-    half = expforms.LatticeTranslation(
-        w1_re=Fraction(0), w1_im_pi=Fraction(1, 2),
-        w2_re=Fraction(0), w3_re=Fraction(0))
-    checks["negative_half_integer"] = \
-        expforms.pullback_translation(omega_c, half) != omega_c
+    found = expforms.theorem9_checks()
+    checks = {
+        "presentations_equal": found["presentations_equal"],
+        "d_omega_zero": found["d_omega_zero"],
+        "invariance_k1": all(found["invariance"].values()),
+        "negative_half_integer": found["negative_half_integer"],
+    }
     ok = all(checks.values())
     _print({
         "command": "verify-theorem9",

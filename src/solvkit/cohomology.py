@@ -21,8 +21,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import (DegreeTooHigh, InternalCheckFailed, NonCommutingHolonomy,
-                     NonSemisimpleGenerator, NotNilpotent, NotSolvable)
+from .errors import (BadHolonomy, DegreeTooHigh, InternalCheckFailed,
+                     NonCommutingHolonomy, NonSemisimpleGenerator, NotNilpotent,
+                     NotSolvable)
 from .liealg import LieAlgebra
 from .linalg import Subspace
 from .polys import Poly, all_roots_real, factor_rational, is_squarefree
@@ -43,13 +44,7 @@ class Cochain:
         self.degree = degree
         self.coeffs: Dict[Tuple[int, ...], Scalar] = {}
         for key, val in (coeffs or {}).items():
-            key = tuple(key)
-            if len(key) != degree:
-                raise ValueError("key %r does not match degree %d" % (key, degree))
-            if any(not 0 <= i < dim for i in key):
-                raise ValueError("index out of range in %r" % (key,))
-            if any(key[t] >= key[t + 1] for t in range(len(key) - 1)):
-                raise ValueError("indices must be strictly increasing: %r" % (key,))
+            key = check_key(key, degree, dim)
             v = sc(val)
             if v:
                 self.coeffs[key] = v
@@ -58,11 +53,10 @@ class Cochain:
         """Value on the given basis indices, any order, exact sign handling."""
         if len(indices) != self.degree:
             raise ValueError("expected %d indices" % self.degree)
-        if len(set(indices)) != len(indices):
+        merged = sort_sign(indices)
+        if merged is None:
             return Scalar(0)
-        order = sorted(range(len(indices)), key=lambda t: indices[t])
-        key = tuple(sorted(indices))
-        sign = _perm_sign(order)
+        key, sign = merged
         base = self.coeffs.get(key, Scalar(0))
         return base if sign == 1 else -base
 
@@ -104,21 +98,33 @@ class Cochain:
             self.dim, self.degree, len(self.coeffs))
 
 
-def _perm_sign(order: List[int]) -> int:
+def sort_sign(indices: Sequence[int]) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """Sorted key of `indices` and the sign of the sorting permutation.
+
+    This is the exterior-algebra rule e^{i1}^...^e^{ik} = sign e^{key};
+    None when an index repeats, because the product is then zero.
+    """
     sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    for a, x in enumerate(indices):
+        for y in indices[a + 1:]:
+            if x > y:
+                sign = -sign
+            elif x == y:
+                return None
+    return tuple(sorted(indices)), sign
+
+
+def check_key(key: Sequence[int], degree: int, size: int) -> Tuple[int, ...]:
+    """`key` as a tuple, after checking it is a strictly increasing
+    `degree`-tuple of indices below `size`; ValueError otherwise."""
+    key = tuple(key)
+    if len(key) != degree:
+        raise ValueError("key %r does not match degree %d" % (key, degree))
+    if any(not 0 <= i < size for i in key):
+        raise ValueError("index out of range in %r" % (key,))
+    if any(key[t] >= key[t + 1] for t in range(len(key) - 1)):
+        raise ValueError("indices must be strictly increasing: %r" % (key,))
+    return key
 
 
 def _alt_minor(vecs: List[List[Scalar]], key: Tuple[int, ...]) -> Scalar:
@@ -207,19 +213,19 @@ class HolonomyAction:
 
     def __init__(self, generators: Sequence[Sequence[Sequence[object]]]):
         self.generators: List[List[List[Fraction]]] = []
-        for g in generators:
+        for t, g in enumerate(generators):
             mat = [[_to_fraction(x) for x in row] for row in g]
-            size = len(mat)
-            if any(len(row) != size for row in mat):
-                raise ValueError("holonomy generator must be square")
+            where = "generators[%d]" % t
+            if any(len(row) != len(mat) for row in mat):
+                raise BadHolonomy("%s: matrix must be square" % where)
+            if self.generators and len(mat) != len(self.generators[0]):
+                raise BadHolonomy("%s has size %d but generators[0] has size %d"
+                                  % (where, len(mat), len(self.generators[0])))
+            if linalg.det([[Scalar(x) for x in row] for row in mat]) == Scalar(0):
+                raise BadHolonomy("%s: matrix is singular" % where)
             self.generators.append(mat)
-        sizes = {len(g) for g in self.generators}
-        if len(sizes) > 1:
-            raise ValueError("holonomy generators must share one size")
-        self.size = sizes.pop() if sizes else 0
+        self.size = len(self.generators[0]) if self.generators else 0
         for g in self.generators:
-            if linalg.det([[Scalar(x) for x in row] for row in g]) == Scalar(0):
-                raise ValueError("holonomy generator is singular")
             if not is_squarefree(linalg.min_poly(g)):
                 raise NonSemisimpleGenerator(
                     "generator has a repeated minimal-polynomial factor")
@@ -310,8 +316,8 @@ def winkelmann_h1(l: LieAlgebra, h: HolonomyAction) -> Dict[str, int]:
     base = h1_lie(l)
     q_dim = quotient_dim(l)
     if h.generators and h.size != q_dim:
-        raise ValueError(
-            "holonomy acts on dimension %d but [g,g]/[n,n] has dimension %d"
+        raise BadHolonomy(
+            "generators[0] has size %d but [g,g]/[n,n] has dimension %d"
             % (h.size, q_dim))
     if q_dim == 0:
         dim_w_real = 0

@@ -47,6 +47,10 @@ class NonCommutingHolonomy(SolvkitError):
     pass
 
 
+class BadHolonomy(SolvkitError, ValueError):
+    """Holonomy generator that is singular or of the wrong size."""
+
+
 class TraceTooSmall(SolvkitError):
     pass
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .cohomology import Cochain
+from .cohomology import Cochain, check_key, sort_sign
 from .errors import DegreeTooHigh
 from .scalars import Scalar, sc
 
@@ -90,13 +90,7 @@ class ExpForm:
         self.degree = degree
         self.terms: Dict[Tuple[int, ...], Coefficient] = {}
         for key, coef in (terms or {}).items():
-            key = tuple(key)
-            if len(key) != degree:
-                raise ValueError("key %r does not match degree %d" % (key, degree))
-            if any(not 0 <= g < NGEN for g in key):
-                raise ValueError("unknown generator in %r" % (key,))
-            if any(key[t] >= key[t + 1] for t in range(len(key) - 1)):
-                raise ValueError("generator indices must increase: %r" % (key,))
+            key = check_key(key, degree, NGEN)
             clean: Coefficient = {}
             for mono, val in coef.items():
                 a, b, theta, rho = mono
@@ -146,7 +140,7 @@ class ExpForm:
         out: Dict[Tuple[int, ...], Coefficient] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                merged = _merge_keys(k1, k2)
+                merged = sort_sign(k1 + k2)
                 if merged is None:
                     continue
                 key, sign = merged
@@ -171,20 +165,6 @@ class ExpForm:
         return "ExpForm(degree=%d, terms on %s)" % (self.degree, ", ".join(names))
 
 
-def _merge_keys(k1: Tuple[int, ...], k2: Tuple[int, ...]):
-    """Sorted union with the shuffle sign; None on a repeated generator."""
-    if set(k1) & set(k2):
-        return None
-    combined = list(k1) + list(k2)
-    sign = 1
-    # count inversions created by sorting the concatenation
-    for i in range(len(combined)):
-        for j in range(i + 1, len(combined)):
-            if combined[i] > combined[j]:
-                sign = -sign
-    return tuple(sorted(combined)), sign
-
-
 def form_term(key: Iterable[int], coef: Coefficient) -> ExpForm:
     key = tuple(key)
     return ExpForm(len(key), {key: coef})
@@ -199,11 +179,11 @@ def ext_d(f: ExpForm) -> ExpForm:
         for mono, val in coef.items():
             a, b, _theta, _rho = mono
             for gen, weight in ((0, a), (1, b)):
-                if not weight or gen in key:
+                # d(f e^key) = sum over gen of (df/dgen) e^gen ^ e^key
+                merged = sort_sign((gen,) + key) if weight else None
+                if merged is None:
                     continue
-                pos = sum(1 for g in key if g < gen)
-                sign = 1 if pos % 2 == 0 else -1
-                new_key = tuple(sorted(key + (gen,)))
+                new_key, sign = merged
                 term_val = val * Scalar(weight)
                 tgt = out.setdefault(new_key, {})
                 _coef_insert(tgt, mono, term_val if sign == 1 else -term_val)
@@ -219,13 +199,7 @@ def conjugate_form(f: ExpForm) -> ExpForm:
     """Complex conjugation: swaps barred and unbarred generators."""
     out: Dict[Tuple[int, ...], Coefficient] = {}
     for key, coef in f.terms.items():
-        mapped = [_CONJ_SWAP[g] for g in key]
-        sign = 1
-        for i in range(len(mapped)):
-            for j in range(i + 1, len(mapped)):
-                if mapped[i] > mapped[j]:
-                    sign = -sign
-        new_key = tuple(sorted(mapped))
+        new_key, sign = sort_sign([_CONJ_SWAP[g] for g in key])
         tgt = out.setdefault(new_key, {})
         for (a, b, theta, rho), val in coef.items():
             cval = val.conjugate()
@@ -308,6 +282,31 @@ def pullback_translation(f: ExpForm, t: LatticeTranslation) -> ExpForm:
     return ExpForm(f.degree, out)
 
 
+def theorem9_checks() -> Dict[str, object]:
+    """The coordinate-form checks of Theorem 9, in report order.
+
+    `presentations_equal`: the coordinate and Maurer-Cartan presentations of
+    omega agree; `d_omega_zero`: both are closed; `invariance`: omega is
+    invariant under the translation with Im(w1) = k pi, keyed by str(k) for
+    k = -2..2; `negative_half_integer`: Im(w1) = pi/2 moves omega (control).
+    """
+    omega_c = omega_coordinate()
+    omega_m = omega_mc()
+    invariance = {}
+    for k in (-2, -1, 0, 1, 2):
+        t = LatticeTranslation(w1_re=Fraction(1), w1_im_pi=Fraction(k),
+                               w2_re=Fraction(1, 3), w3_re=Fraction(-2))
+        invariance[str(k)] = pullback_translation(omega_c, t) == omega_c
+    half = LatticeTranslation(w1_re=Fraction(0), w1_im_pi=Fraction(1, 2),
+                              w2_re=Fraction(0), w3_re=Fraction(0))
+    return {
+        "presentations_equal": omega_c == omega_m,
+        "d_omega_zero": ext_d(omega_c).is_zero() and ext_d(omega_m).is_zero(),
+        "invariance": invariance,
+        "negative_half_integer": pullback_translation(omega_c, half) != omega_c,
+    }
+
+
 # real duals: dx = xi0 + i xi3, dy = xi1 + i xi4, dz = xi2 + i xi5 on the
 # ordered real basis (X, Y, Z, iX, iY, iZ)
 _REAL_EXPANSION = {
@@ -353,14 +352,10 @@ def restrict_identity(f: ExpForm) -> Cochain:
                 idx, weight = expansions[t][(mask >> t) & 1]
                 real_idx.append(idx)
                 factor = factor * weight
-            if len(set(real_idx)) != len(real_idx) or not factor:
+            merged = sort_sign(real_idx)
+            if merged is None:
                 continue
-            sign = 1
-            for i in range(len(real_idx)):
-                for j in range(i + 1, len(real_idx)):
-                    if real_idx[i] > real_idx[j]:
-                        sign = -sign
-            skey = tuple(sorted(real_idx))
+            skey, sign = merged
             cur = acc.get(skey, Scalar(0)) + (factor if sign == 1 else -factor)
             if cur:
                 acc[skey] = cur

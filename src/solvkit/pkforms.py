@@ -15,6 +15,7 @@ enough for its per-variable degree.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,41 +42,48 @@ class TwoForm(Cochain):
         return [[self.coefficient(i, j) for j in range(n)] for i in range(n)]
 
 
-def j_compatible(omega: Cochain, j: AlmostComplexStructure) -> bool:
-    """omega(JX, JY) = omega(X, Y), checked exactly on all basis pairs."""
+def _gram(omega: Cochain, j: AlmostComplexStructure) -> List[List[Scalar]]:
+    """G[i][k] = omega(e_i, J e_k), from J's columns taken once."""
     if omega.degree != 2:
         raise ValueError("a 2-form is required")
     if omega.dim != j.dim:
         raise ValueError("dimension mismatch")
     n = omega.dim
-    for a in range(n):
-        ja = j.apply([Scalar(1 if k == a else 0) for k in range(n)])
-        for b in range(a + 1, n):
-            jb = j.apply([Scalar(1 if k == b else 0) for k in range(n)])
-            if omega.evaluate(ja, jb) != omega.coefficient(a, b):
-                return False
-    return True
+    cols = [[(m, j.matrix[m][k]) for m in range(n) if j.matrix[m][k]]
+            for k in range(n)]
+    gram = []
+    for i in range(n):
+        row = []
+        for col in cols:
+            val = Scalar(0)
+            for m, c in col:
+                val = val + c * omega.coefficient(i, m)
+            row.append(val)
+        gram.append(row)
+    return gram
+
+
+def _is_symmetric(m: List[List[Scalar]]) -> bool:
+    return all(m[i][k] == m[k][i]
+               for i in range(len(m)) for k in range(i + 1, len(m)))
+
+
+def j_compatible(omega: Cochain, j: AlmostComplexStructure) -> bool:
+    """omega(JX, JY) = omega(X, Y), checked exactly.
+
+    Since J^2 = -I this holds exactly when G = omega(., J.) is symmetric:
+    G(Y, X) = omega(Y, JX) = -omega(JX, Y), and omega(JX, Y) =
+    omega(J^2 X, JY) = -omega(X, JY) for a J-invariant omega, while
+    symmetry of G gives omega(JX, JY) = -omega(J^2 X, Y) = omega(X, Y).
+    """
+    return _is_symmetric(_gram(omega, j))
 
 
 def metric_from(omega: Cochain, j: AlmostComplexStructure) -> List[List[Scalar]]:
     """Gram matrix g(X_i, X_j) = omega(X_i, J X_j); requires compatibility."""
-    if not j_compatible(omega, j):
+    gram = _gram(omega, j)
+    if not _is_symmetric(gram):
         raise NotCompatible("form is not invariant under J")
-    n = omega.dim
-    gram = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            jek = j.apply([Scalar(1 if t == k else 0) for t in range(n)])
-            val = Scalar(0)
-            for m, c in enumerate(jek):
-                if c:
-                    val = val + c * omega.coefficient(i, m)
-            row.append(val)
-        gram.append(row)
-    for i in range(n):
-        for k in range(i + 1, n):
-            assert gram[i][k] == gram[k][i], "compatible form gave asymmetric metric"
     return gram
 
 
@@ -120,9 +128,9 @@ def classify(l: LieAlgebra, j: AlmostComplexStructure,
                             "witness pair %r" % (rep.witness,))
     if not ce_d(l, omega).is_zero():
         return ClassifyResult("not_closed")
-    if not j_compatible(omega, j):
+    gram = _gram(omega, j)
+    if not _is_symmetric(gram):
         return ClassifyResult("incompatible")
-    gram = metric_from(omega, j)
     if linalg.det(gram) == Scalar(0):
         return ClassifyResult("degenerate")
     p, q = signature(gram)
@@ -149,48 +157,15 @@ def closed_compatible_space(l: LieAlgebra,
     """Basis of {omega : d omega = 0, omega(J.,J.) = omega}, exact."""
     n = l.dim
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    index = {p: t for t, p in enumerate(pairs)}
-    rows: List[List[Scalar]] = []
-
-    def pair_coeff(vec_row, a, b, factor):
-        # contribute factor * omega(e_a, e_b) to a linear condition
-        if a == b:
-            return
-        if a < b:
-            vec_row[index[(a, b)]] = vec_row[index[(a, b)]] + factor
-        else:
-            vec_row[index[(b, a)]] = vec_row[index[(b, a)]] - factor
-
-    # closedness rows, one per basis triple
-    for i in range(n):
-        for jj in range(i + 1, n):
-            for k in range(jj + 1, n):
-                row = [Scalar(0)] * len(pairs)
-                for m, c in enumerate(l.bracket_basis(i, jj)):
-                    if c:
-                        pair_coeff(row, m, k, -c)
-                for m, c in enumerate(l.bracket_basis(i, k)):
-                    if c:
-                        pair_coeff(row, m, jj, c)
-                for m, c in enumerate(l.bracket_basis(jj, k)):
-                    if c:
-                        pair_coeff(row, m, i, -c)
-                if any(row):
-                    rows.append(row)
-    # compatibility rows, one per pair
-    jm = j.matrix
-    for (a, b) in pairs:
-        row = [Scalar(0)] * len(pairs)
-        for ma in range(n):
-            if not jm[ma][a]:
-                continue
-            for mb in range(n):
-                if not jm[mb][b]:
-                    continue
-                pair_coeff(row, ma, mb, jm[ma][a] * jm[mb][b])
-        pair_coeff(row, a, b, Scalar(-1))
-        if any(row):
-            rows.append(row)
+    basis = [Cochain(n, 2, {p: 1}) for p in pairs]
+    d_basis = [ce_d(l, f).coeffs for f in basis]
+    grams = [_gram(f, j) for f in basis]
+    # one closedness row per basis triple (its coefficient in each
+    # d(e^a ^ e^b)), one compatibility row per pair (omega(., J.) symmetric)
+    rows = [[d.get(t, Scalar(0)) for d in d_basis]
+            for t in itertools.combinations(range(n), 3)]
+    rows += [[g[a][b] - g[b][a] for g in grams] for a, b in pairs]
+    rows = [row for row in rows if any(row)]
     kernel = linalg.nullspace(rows) if rows else [
         [Scalar(1 if t == s else 0) for s in range(len(pairs))]
         for t in range(len(pairs))]

@@ -68,4 +68,4 @@ def test_criterion_9_parametric_kahler_family():
 
 def test_criterion_10_deterministic_report():
     """Two full report runs agree byte for byte, timings excluded."""
-    _run(report.check_determinism, "C10")
+    _run(lambda: report.check_determinism(report._core_payload({})), "C10")

@@ -1,5 +1,6 @@
 """Command line surface: exit codes and JSON payloads."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -103,6 +104,20 @@ def test_h1_with_holonomy(capsys, tmp_path):
     assert (doc["h1"], doc["h1_lie"], doc["dimW"]) == (3, 1, 2)
 
 
+@pytest.mark.parametrize("generators", [
+    [[[0, 0], [0, 0]]],                   # singular
+    [[[1]], [[1, 0], [0, 1]]],            # two sizes
+    [[[1, 0], [0, 1]]],                   # [g,g]/[n,n] has dimension 4
+], ids=["singular", "mixed-sizes", "wrong-size"])
+def test_h1_holonomy_shape_errors(capsys, tmp_path, generators):
+    path = dump_entry(tmp_path, "nonnilpotent3", with_j=False)
+    hol = tmp_path / "hol.json"
+    hol.write_text(json.dumps(generators))
+    code, out, err = run(capsys, ["h1", path, "--holonomy", str(hol)])
+    assert code == 3
+    assert not out and "input error" in err and "generators[" in err
+
+
 def test_classify_form_kahler(capsys, tmp_path):
     path = dump_entry(tmp_path, "abelian")
     entry = get("abelian")
@@ -134,9 +149,15 @@ def test_classify_form_not_integrable(capsys, tmp_path):
 
 
 def test_verify_theorem9(capsys):
-    code, doc, _ = run_json(capsys, ["verify-theorem9"])
+    code, out, _ = run(capsys, ["verify-theorem9"])
     assert code == 0
+    doc = json.loads(out)
     assert [v["status"] for v in doc["verdicts"]] == ["pass"] * 4
+    assert [v["check_id"] for v in doc["verdicts"]] == [
+        "presentations_equal", "d_omega_zero", "invariance_k1",
+        "negative_half_integer"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "cee0b7ca07a196be25925b443f4d1ce43ac01e7e506450c206d87bedbaeebd96"
 
 
 def test_lattice_search(capsys, tmp_path):
@@ -227,3 +248,8 @@ def test_paper_report_timings_per_check(paper_report):
     assert isinstance(doc["timings"]["total_seconds"], float)
 
 
+def test_paper_report_c10_compares_the_reports_own_core(paper_report):
+    _, doc, _ = paper_report
+    core, c10 = doc["verdicts"][:9], doc["verdicts"][9]
+    assert c10["check_id"] == "C10-determinism"
+    assert c10["detail"]["bytes"] == len(json.dumps(core, allow_nan=False))

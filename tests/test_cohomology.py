@@ -1,5 +1,6 @@
 """Chevalley-Eilenberg cochains, the h1 formula, and the holonomy part."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,10 +11,11 @@ from solvkit.cohomology import (Cochain, HolonomyAction, ce_d,
                                 closed_holomorphic_1forms, h1_lie,
                                 h1_lie_by_kernel, one_form,
                                 pseudo_kahler_obstruction, quotient_dim,
-                                real_part_subspace, two_form_terms,
-                                winkelmann_h1)
-from solvkit.errors import (DegreeTooHigh, NonCommutingHolonomy,
-                            NonSemisimpleGenerator, NotNilpotent, NotSolvable)
+                                real_part_subspace, sort_sign,
+                                two_form_terms, winkelmann_h1)
+from solvkit.errors import (BadHolonomy, DegreeTooHigh, NonCommutingHolonomy,
+                            NonSemisimpleGenerator, NotNilpotent, NotSolvable,
+                            SolvkitError)
 from solvkit.liealg import LieAlgebra
 from solvkit.scalars import Scalar
 
@@ -32,6 +34,34 @@ def test_cochain_validation_and_signs():
         Cochain(4, 2, {(0,): 1})           # wrong arity
     with pytest.raises(DegreeTooHigh):
         Cochain(4, 4)
+
+
+def _inversion_sign(indices):
+    inversions = sum(1 for a, b in itertools.combinations(indices, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def test_sort_sign_matches_inversion_count():
+    for length in range(5):
+        for indices in itertools.product(range(6), repeat=length):
+            got = sort_sign(indices)
+            if len(set(indices)) < length:
+                assert got is None, indices
+            else:
+                assert got == (tuple(sorted(indices)),
+                               _inversion_sign(indices)), indices
+
+
+def test_coefficient_on_every_permutation():
+    rng = random.Random(61)
+    for degree in (1, 2, 3):
+        keys = list(itertools.combinations(range(6), degree))
+        c = Cochain(6, degree, {k: rng.randint(-5, 5) for k in keys})
+        for key in keys:
+            base = c.coeffs.get(key, Scalar(0))
+            for perm in itertools.permutations(key):
+                assert c.coefficient(*perm) == \
+                    base * Scalar(_inversion_sign(perm)), perm
 
 
 def test_cochain_evaluate_alternating():
@@ -111,8 +141,10 @@ def test_holonomy_action_validation():
         HolonomyAction([[[1, 1], [0, 1]]])
     with pytest.raises(NonCommutingHolonomy):
         HolonomyAction([[[0, 1], [1, 0]], [[1, 0], [0, -1]]])
-    with pytest.raises(ValueError):
-        HolonomyAction([[[0, 0], [0, 0]]])   # singular
+    with pytest.raises(BadHolonomy, match=r"generators\[0\]: .*singular"):
+        HolonomyAction([[[0, 0], [0, 0]]])
+    with pytest.raises(BadHolonomy, match=r"generators\[1\] has size 2"):
+        HolonomyAction([[[1]], [[1, 0], [0, 1]]])
     with pytest.raises(TypeError):
         HolonomyAction([[[1.0, 0.0], [0.0, 1.0]]])
 
@@ -161,9 +193,10 @@ def test_winkelmann_table_frozen():
 
 def test_winkelmann_guards():
     l = catalog.get("nonnilpotent3").algebra
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         # generator size must match the 4-dim quotient
         winkelmann_h1(l, HolonomyAction([[[1, 0], [0, 1]]]))
+    assert isinstance(err.value, SolvkitError)
     sl2 = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
     with pytest.raises(NotSolvable):
         winkelmann_h1(sl2, HolonomyAction([]))

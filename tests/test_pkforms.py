@@ -42,6 +42,36 @@ def test_metric_from():
         metric_from(TwoForm(4, {(0, 2): 1}), entry.j)
 
 
+def test_j_compatible_matches_definition():
+    """Symmetry of omega(., J.) against omega(Je_a, Je_b) = omega(e_a, e_b)."""
+    rng = random.Random(67)
+    for name in catalog.list_names():
+        j = catalog.get(name).j
+        if j is None:
+            continue
+        n = j.dim
+        units = [[Scalar(1 if k == a else 0) for k in range(n)]
+                 for a in range(n)]
+        images = [j.apply(u) for u in units]
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        forms = [TwoForm(n, {p: 1}) for p in pairs]
+        for _ in range(4):
+            omega = TwoForm(n, {p: rng.randint(-2, 2) for p in pairs})
+            # omega + omega(J., J.) is J-invariant
+            forms += [omega, TwoForm(n, {
+                (a, b): omega.coefficient(a, b)
+                + omega.evaluate(images[a], images[b]) for a, b in pairs})]
+        for form in forms:
+            want = all(form.evaluate(images[a], images[b])
+                       == form.coefficient(a, b) for a, b in pairs)
+            assert j_compatible(form, j) == want, name
+            if want:
+                metric_from(form, j)
+            else:
+                with pytest.raises(NotCompatible):
+                    metric_from(form, j)
+
+
 def test_signature_basics():
     assert signature([[1, 0], [0, -1]]) == (1, 1)
     assert signature([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == (3, 0)
