@@ -26,7 +26,8 @@ from .errors import (BadHolonomy, DegreeTooHigh, InternalCheckFailed,
                      NotSolvable)
 from .liealg import LieAlgebra
 from .linalg import Subspace
-from .polys import Poly, all_roots_real, factor_rational, is_squarefree
+from .polys import (Poly, all_roots_real, count_real_roots, factor_rational,
+                    is_squarefree)
 from .scalars import Scalar, sc
 
 MAX_DEGREE = 3
@@ -262,9 +263,17 @@ def real_part_subspace(g: List[List[Fraction]]) -> Subspace:
     For a semisimple matrix this is the largest rational invariant subspace
     on which the action is diagonalizable over R, provided every
     irreducible factor has all roots real or none (Sturm count 0 or full).
+    The minimal polynomial is factored only when it has some real roots but
+    not deg(m) of them: with none, no factor is totally real; with deg(m)
+    distinct real roots, m is squarefree and every factor is totally real.
     """
     n = len(g)
     m = linalg.min_poly(g)
+    real_roots = count_real_roots(m)
+    if real_roots == 0:
+        return Subspace(n)
+    if real_roots == m.degree:
+        return Subspace(n, linalg.identity(n))
     out_vectors: List[List[Scalar]] = []
     for factor, _mult in factor_rational(m):
         if factor.degree < 1:

@@ -17,6 +17,8 @@ the split basis has real constants).
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -189,42 +191,59 @@ class LieAlgebra:
     def nilradical_solvable(self) -> Subspace:
         """Nilradical of a solvable algebra: the set {v : ad(v) nilpotent}.
 
-        Computed as the fixed point of V -> {x in V : trace(M ad(x)) = 0
-        for all M in the unital associative algebra generated by ad(V)}.
-        Every ad-nilpotent element satisfies all those trace conditions,
-        and at the fixed point the conditions force the power sums of the
-        eigenvalues of ad(x) to vanish, so the fixed point is exactly the
-        set of ad-nilpotent elements. The result is validated post hoc.
+        One trace cut gives it. Let A be the unital associative algebra
+        generated by ad(g), and S = {x : tr(M ad(x)) = 0 for all M in A}.
+        If ad(x) is nilpotent, Lie's theorem makes A upper triangular over
+        C with ad(x) strictly upper triangular, so x is in S. If x is in S,
+        taking M = ad(x)^(k-1) gives tr(ad(x)^k) = 0 for every k >= 1, so
+        ad(x) is nilpotent by Newton's identities. Scaling every bracket by
+        the lcm of the denominators of the structure constants changes
+        neither A's span nor S, so the closure, the traces and the checks
+        run on int matrices. The result is validated post hoc.
         """
         if not self.is_solvable():
             raise NotSolvable("nilradical computation requires a solvable algebra")
         n = self.dim
-        ad_basis = [self.adjoint(self._e(i)) for i in range(n)]
-        space = Subspace(n, linalg.identity(n))
-        while True:
-            gens = [self.adjoint(space_row) for space_row in space.basis]
-            closure = _associative_closure(gens, n)
-            rows = []
-            for m in closure:
-                rows.append([linalg.mat_trace(linalg.mat_mul(m, ad_basis[i]))
-                             for i in range(n)])
-            cut = Subspace(n, linalg.nullspace(rows)) if rows else space
-            new = space.intersect(cut)
-            if new == space:
-                break
-            space = new
-        self._validate_nilradical(space)
+        ads = self._integer_adjoints()
+        # tr(M ad(e_i)) is the dot product of M and ad(e_i)^T, both flattened
+        flat_t = [[a[k][j] for j in range(n) for k in range(n)] for a in ads]
+        rows = [[sum(map(operator.mul, m, t)) for t in flat_t]
+                for m in _unital_closure(ads)]
+        space = Subspace(n, linalg.nullspace(rows))
+        self._validate_nilradical(space, ads)
         return space
 
-    def _validate_nilradical(self, space: Subspace) -> None:
-        if not (self.derived_subalgebra() <= space):
-            raise InternalCheckFailed("nilradical misses the derived subalgebra")
+    def _integer_adjoints(self) -> List[List[List[int]]]:
+        """The ad(e_i) times the lcm of the structure constants' denominators."""
+        n = self.dim
+        scale = math.lcm(*(c.re.denominator for row in self._table.values()
+                           for c in row.values()))
+        ads = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for (i, j), row in self._table.items():
+            for k, c in row.items():
+                ads[i][k][j] = int(c.re * scale)
+                ads[j][k][i] = -ads[i][k][j]
+        return ads
+
+    def _validate_nilradical(self, space: Subspace,
+                             ads: List[List[List[int]]]) -> None:
+        # the ideal test comes first: once [g,g] is inside, it cannot fail
+        n = self.dim
+        scaled = []
         for v in space.basis:
-            if not is_nilpotent_matrix(self.adjoint(v)):
+            d = math.lcm(*(x.denominator for x in v))
+            scaled.append([int(x * d) for x in v])
+        if not all(space.contains(linalg.mat_vec(a, w))
+                   for a in ads for w in scaled):
+            raise InternalCheckFailed("nilradical is not an ideal")
+        # [g,g] is spanned by the columns of the ad(e_i)
+        if not all(space.contains(list(col)) for a in ads for col in zip(*a)):
+            raise InternalCheckFailed("nilradical misses the derived subalgebra")
+        for w in scaled:
+            ad_w = [[sum(c * a[r][s] for c, a in zip(w, ads)) for s in range(n)]
+                    for r in range(n)]
+            if not is_nilpotent_matrix(ad_w):
                 raise InternalCheckFailed("nilradical element with non-nilpotent ad")
-            for i in range(self.dim):
-                if not space.contains(self.bracket(self._e(i), v)):
-                    raise InternalCheckFailed("nilradical is not an ideal")
 
     # -- eigenvalue-type classification -------------------------------------
 
@@ -326,50 +345,47 @@ class LieAlgebra:
         return "LieAlgebra(dim=%d, form=%r)" % (self.dim, self.form)
 
 
-def is_nilpotent_matrix(m: List[List[Scalar]]) -> bool:
-    n = len(m)
-    return linalg.mat_eq(linalg.mat_pow(m, n),
-                         [[Scalar(0)] * n for _ in range(n)])
+def is_nilpotent_matrix(m: List[List]) -> bool:
+    """m^(2^k) = 0 for the least 2^k >= n; a nilpotent n x n m has m^n = 0."""
+    k = 1
+    while k < len(m):
+        m = linalg.mat_mul(m, m)
+        k *= 2
+    return not any(x for row in m for x in row)
 
 
-def _flatten(m) -> List:
-    return [x for row in m for x in row]
+def _unital_closure(gens: List[List[List[int]]]) -> List[List[int]]:
+    """Basis of the unital associative algebra generated by int matrices.
 
+    Fraction-free echelon: each element, flattened, is reduced against the
+    earlier ones by cross-multiplication and divided by its content, so
+    the basis is of primitive int rows. Products are taken of these rows,
+    which span the same algebra as the words in the generators.
+    """
+    n = len(gens[0])
+    echelon: List[Tuple[int, List[int]]] = []
 
-def _associative_closure(gens: List, n: int) -> List:
-    """Basis of the unital associative algebra generated by the given matrices."""
-    basis_mats: List = []
-    echelon: List[List] = []
-    leads: List[int] = []
-
-    def try_add(m) -> bool:
-        red = _flatten(m)
-        for lead, row in zip(leads, echelon):
+    def add(m: List[List[int]]) -> Optional[List[int]]:
+        red = [x for row in m for x in row]
+        for lead, row in echelon:
             if red[lead]:
-                f = red[lead]
-                red = [x - f * y for x, y in zip(red, row)]
-        piv = next((c for c, x in enumerate(red) if x), None)
-        if piv is None:
-            return False
-        inv = red[piv]
-        echelon.append([x / inv for x in red])
-        leads.append(piv)
-        basis_mats.append(m)
-        return True
+                g = math.gcd(row[lead], red[lead])
+                a, b = row[lead] // g, red[lead] // g
+                red = [a * x - b * y for x, y in zip(red, row)]
+        content = math.gcd(*red)
+        if not content:
+            return None
+        red = [x // content for x in red]
+        echelon.append((next(c for c, x in enumerate(red) if x), red))
+        return red
 
-    try_add(linalg.identity(n))
-    for g in gens:
-        try_add(g)
-    frontier = list(basis_mats)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    frontier = [r for r in map(add, [unit] + gens) if r is not None]
     while frontier:
-        new_frontier = []
-        for m in frontier:
-            for g in gens:
-                prod = linalg.mat_mul(m, g)
-                if try_add(prod):
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    return basis_mats
+        products = (linalg.mat_mul([r[i * n:(i + 1) * n] for i in range(n)], g)
+                    for r in frontier for g in gens)
+        frontier = [r for r in map(add, products) if r is not None]
+    return [row for _, row in echelon]
 
 
 def realify_complex_brackets(cdim: int, brackets: Dict[Tuple[int, int], Dict[int, object]],

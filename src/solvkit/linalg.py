@@ -2,7 +2,9 @@
 
 Matrices are plain lists of lists; vectors are lists. Everything here is
 field-generic: it only needs +, -, *, / and truthiness on entries, which
-both fractions.Fraction and scalars.Scalar provide. No floats anywhere.
+both fractions.Fraction and scalars.Scalar provide. No floats anywhere:
+the eliminations (rref, det) read int entries as Fraction, so that int
+input gives exact results, and refuse float entries.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ def zeros(n: int, m: int) -> Mat:
 
 def identity(n: int) -> Mat:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def mat_copy(a: Mat) -> Mat:
-    return [list(row) for row in a]
 
 
 def transpose(a: Mat) -> Mat:
@@ -86,23 +84,18 @@ def mat_trace(a: Mat):
     return acc
 
 
-def mat_pow(a: Mat, k: int) -> Mat:
-    out = identity(len(a))
-    base = mat_copy(a)
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 # -- elimination -------------------------------------------------------------
+
+
+def _exact(x):
+    if isinstance(x, float):
+        raise TypeError("refusing float %r; use Fraction for exact input" % (x,))
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def rref(rows: Sequence[Vec]) -> Tuple[Mat, List[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(r) for r in rows]
+    m = [[_exact(x) for x in r] for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -183,7 +176,7 @@ def inverse(a: Mat) -> Mat:
 
 def det(a: Mat):
     n = len(a)
-    m = mat_copy(a)
+    m = [[_exact(x) for x in row] for row in a]
     sign = 1
     acc = None
     for c in range(n):

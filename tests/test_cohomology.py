@@ -1,12 +1,16 @@
 """Chevalley-Eilenberg cochains, the h1 formula, and the holonomy part."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from solvkit import catalog, cohomology
+import solvkit
+from solvkit import catalog, cohomology, linalg
 from solvkit.cohomology import (Cochain, HolonomyAction, ce_d,
                                 closed_holomorphic_1forms, h1_lie,
                                 h1_lie_by_kernel, one_form,
@@ -17,6 +21,8 @@ from solvkit.errors import (BadHolonomy, DegreeTooHigh, NonCommutingHolonomy,
                             NonSemisimpleGenerator, NotNilpotent, NotSolvable,
                             SolvkitError)
 from solvkit.liealg import LieAlgebra
+from solvkit.linalg import Subspace
+from solvkit.polys import all_roots_real, count_real_roots, factor_rational
 from solvkit.scalars import Scalar
 
 
@@ -164,6 +170,74 @@ def test_real_part_subspace():
     sub = real_part_subspace([[Fraction(x) for x in row] for row in mix])
     assert sub.dim == 2
     assert sub.contains([Scalar(1), Scalar(0), Scalar(0), Scalar(0)])
+
+
+def _real_part_by_factoring(g):
+    """real_part_subspace's factor route, taken for every matrix."""
+    vecs = []
+    for factor, _mult in factor_rational(linalg.min_poly(g)):
+        if factor.degree >= 1 and all_roots_real(factor):
+            vecs.extend(linalg.nullspace(cohomology._poly_apply(factor, g)))
+    return Subspace(len(g), vecs)
+
+
+# companion blocks of irreducible factors over Q, by their real roots
+_REAL_BLOCKS = [[[1]], [[-2]], [[Fraction(1, 2)]], [[0, 2], [1, 0]],
+                [[0, 3], [1, 1]]]
+_NONREAL_BLOCKS = [[[0, -1], [1, 0]], [[0, -3], [1, 1]]]
+_MIXED_BLOCKS = [[[0, 0, 2], [1, 0, 0], [0, 1, 0]]]     # t^3 - 2
+
+
+def _block_diag(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                out[at + i][at + j] = Fraction(x)
+        at += len(b)
+    return out
+
+
+def test_real_part_shortcut_matches_factor_route():
+    """No real root, only real roots (both shortcuts), and a mix (factoring)."""
+    rng = random.Random(11)
+    with_real = _REAL_BLOCKS + _MIXED_BLOCKS
+    with_nonreal = _NONREAL_BLOCKS + _MIXED_BLOCKS
+    draws = {
+        "none": lambda: rng.sample(_NONREAL_BLOCKS, rng.randint(1, 2)),
+        "all": lambda: [rng.choice(_REAL_BLOCKS) for _ in range(rng.randint(1, 3))],
+        "mixed": lambda: [rng.choice(with_real), rng.choice(with_nonreal)],
+    }
+    for kind, draw in sorted(draws.items()):
+        for _ in range(12):
+            blocks = draw()
+            d = _block_diag(blocks)
+            n = len(d)
+            while True:
+                p = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+                     for _ in range(n)]
+                if linalg.det(p) != 0:
+                    break
+            g = linalg.mat_mul(linalg.mat_mul(p, d), linalg.inverse(p))
+            want = _real_part_by_factoring(g)
+            assert real_part_subspace(g) == want, (kind, blocks)
+            m = linalg.min_poly(g)
+            branch = {0: "none", m.degree: "all"}.get(count_real_roots(m), "mixed")
+            assert branch == kind
+
+
+def test_winkelmann_table_never_imports_sympy():
+    src = os.path.dirname(os.path.dirname(solvkit.__file__))
+    code = ("import sys\n"
+            "from solvkit import report\n"
+            "assert report.check_winkelmann_table()['status'] == 'pass'\n"
+            "print('sympy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_quotient_dim():

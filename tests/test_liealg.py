@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from solvkit import catalog
-from solvkit.errors import NotSolvable
+from solvkit import catalog, linalg
+from solvkit.errors import InternalCheckFailed, NotSolvable
 from solvkit.liealg import (LieAlgebra, is_nilpotent_matrix,
                             realify_complex_brackets)
+from solvkit.linalg import Subspace
 from solvkit.scalars import Scalar
 
 
@@ -112,6 +115,138 @@ def test_nilradical_dimensions_frozen():
     }
     for name, dim in expected.items():
         assert catalog.get(name).algebra.nilradical_solvable().dim == dim, name
+
+
+def _closure_reference(gens, n):
+    """Basis of the unital associative algebra generated by Scalar matrices."""
+    basis, echelon, leads = [], [], []
+
+    def try_add(m):
+        red = [x for row in m for x in row]
+        for lead, row in zip(leads, echelon):
+            if red[lead]:
+                f = red[lead]
+                red = [x - f * y for x, y in zip(red, row)]
+        piv = next((c for c, x in enumerate(red) if x), None)
+        if piv is None:
+            return False
+        inv = red[piv]
+        echelon.append([x / inv for x in red])
+        leads.append(piv)
+        basis.append(m)
+        return True
+
+    try_add(linalg.identity(n))
+    for g in gens:
+        try_add(g)
+    frontier = list(basis)
+    while frontier:
+        new_frontier = []
+        for m in frontier:
+            for g in gens:
+                prod = linalg.mat_mul(m, g)
+                if try_add(prod):
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    return basis
+
+
+def _nilradical_reference(l):
+    """The fixed-point Scalar route that nilradical_solvable replaced.
+
+    V -> {x in V : tr(M ad(x)) = 0 for all M in the unital associative
+    algebra generated by ad(V)}, iterated from V = g until it stops moving.
+    """
+    n = l.dim
+    ad_basis = [l.adjoint(l._e(i)) for i in range(n)]
+    space = Subspace(n, linalg.identity(n))
+    while True:
+        closure = _closure_reference([l.adjoint(v) for v in space.basis], n)
+        rows = [[linalg.mat_trace(linalg.mat_mul(m, a)) for a in ad_basis]
+                for m in closure]
+        new = space.intersect(Subspace(n, linalg.nullspace(rows)))
+        if new == space:
+            return space
+        space = new
+
+
+def _semidirect(d):
+    """R x_D R^k: [e_0, e_(j+1)] = sum_i D[i][j] e_(i+1)."""
+    k = len(d)
+    return LieAlgebra(k + 1, {
+        (0, j + 1): {i + 1: d[i][j] for i in range(k) if d[i][j]}
+        for j in range(k)})
+
+
+def test_nilradical_matches_reference_on_catalog():
+    for name in catalog.list_names():
+        l = catalog.get(name).algebra
+        assert l.nilradical_solvable() == _nilradical_reference(l), name
+
+
+H, T = Fraction(1, 2), Fraction(-2, 3)
+FRACTIONAL = {
+    # non-nilpotent: diagonal D with denominators, nilradical R^2
+    "diagonal": (_semidirect([[H, 0], [0, T]]), 2),
+    # nilpotent D: the whole algebra is nilpotent
+    "nilpotent": (_semidirect([[0, H, T], [0, 0, Fraction(3, 4)], [0, 0, 0]]), 4),
+    # rotation-like D with eigenvalues +-i/2
+    "rotation": (_semidirect([[0, -H], [H, 0]]), 2),
+    # Jordan block with eigenvalue -2/3 beside a nilpotent block
+    "jordan": (_semidirect([[T, 1, 0], [0, T, 0], [0, 0, 0]]), 3),
+    # aff(R) + aff(R) with constants 1/2 and -2/3: not a semidirect R^k
+    "two-affine": (LieAlgebra(4, {(0, 1): {1: H}, (2, 3): {3: T}}), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRACTIONAL))
+def test_nilradical_matches_reference_with_fractions(name):
+    l, dim = FRACTIONAL[name]
+    nil = l.nilradical_solvable()
+    assert nil.dim == dim
+    assert nil == _nilradical_reference(l)
+
+
+_ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, H, T])
+
+
+@st.composite
+def _semidirect_algebras(draw):
+    k = draw(st.integers(1, 4))
+    strict = draw(st.booleans())     # strictly upper triangular: nilpotent
+    d = [[draw(_ENTRIES) if (i < j or not strict) else 0 for j in range(k)]
+         for i in range(k)]
+    return _semidirect(d)
+
+
+@settings(max_examples=30, database=None, deadline=None)
+@given(_semidirect_algebras())
+def test_nilradical_matches_reference_on_semidirect_products(l):
+    assert l.nilradical_solvable() == _nilradical_reference(l)
+
+
+def test_validate_nilradical_rejects_each_wrong_answer():
+    h3 = heisenberg3()
+    aff = LieAlgebra(2, {(0, 1): {1: H}})
+    cases = [
+        # span(e0): [e1, e0] = -e2 leaves it
+        (h3, Subspace(3, [[1, 0, 0]]), "not an ideal"),
+        # the zero space is an ideal but misses [g,g] = span(e2)
+        (h3, Subspace(3), "misses the derived subalgebra"),
+        # the whole of aff(R) is an ideal holding [g,g], but ad(e0) is not nilpotent
+        (aff, Subspace(2, linalg.identity(2)), "non-nilpotent ad"),
+    ]
+    for l, space, message in cases:
+        with pytest.raises(InternalCheckFailed, match=message):
+            l._validate_nilradical(space, l._integer_adjoints())
+
+
+def test_is_nilpotent_matrix():
+    for n in range(1, 9):
+        shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+        assert is_nilpotent_matrix(shift), n
+        assert not is_nilpotent_matrix(
+            [row[:-1] + [int(i == n - 1)] for i, row in enumerate(shift)]), n
 
 
 def test_classify_type_table():

@@ -79,6 +79,25 @@ def test_det_scalar_entries():
     assert linalg.det(m) == Scalar(-1)
 
 
+def test_int_input_stays_exact():
+    assert linalg.nullspace([[3, 1]]) == [[Fraction(-1, 3), Fraction(1)]]
+    assert all(type(x) is Fraction for x in linalg.nullspace([[3, 1]])[0])
+    d = linalg.det([[2, 1], [1, 1]])
+    assert d == 1 and type(d) is Fraction
+    assert linalg.det([[1, 2], [3, 4]]) == -2
+    assert linalg.rref([[2, 4], [1, 3]]) == ([[1, 0], [0, 1]], [0, 1])
+    assert Subspace(2, [[2, 1]]).rows == [[Fraction(1), Fraction(1, 2)]]
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        linalg.rref([[1, 0.5]])
+    with pytest.raises(TypeError):
+        linalg.nullspace([[3.0, 1]])
+    with pytest.raises(TypeError):
+        linalg.det([[2, 1], [1, 1.0]])
+
+
 def test_char_poly():
     a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     assert linalg.char_poly(a) == Poly([1, -3, 1])
