@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .cxstruct import AlmostComplexStructure, j_from_images, tautological_j
 from .errors import NoGroupLaw, ParamOutOfRange, UnknownName
 from .liealg import LieAlgebra, realify_complex_brackets
@@ -379,12 +377,14 @@ class GroupLawReport:
 
 
 def _numeric_span_dims(rows: np.ndarray, tol: float) -> int:
+    import numpy as np
     if rows.size == 0:
         return 0
     return int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol))
 
 
 def _orthobasis(rows: np.ndarray, tol: float) -> np.ndarray:
+    import numpy as np
     if rows.size == 0:
         return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
@@ -402,6 +402,7 @@ def _exact_invariants(l: LieAlgebra) -> Dict[str, object]:
 
 
 def _numeric_invariants(tensor: np.ndarray, tol: float) -> Dict[str, object]:
+    import numpy as np
     n = tensor.shape[0]
 
     def bracket_span(a_basis: np.ndarray, b_basis: np.ndarray) -> np.ndarray:
@@ -450,6 +451,7 @@ def brackets_from_group_law(entry: CatalogEntry, step: float = 1e-4,
                             trials: int = 100,
                             seed: Optional[int] = None) -> GroupLawReport:
     """Differentiate the commutator map and compare basis-free invariants."""
+    import numpy as np
     if entry.group_law is None:
         raise NoGroupLaw("entry %r carries no group law" % entry.name)
     law = entry.group_law

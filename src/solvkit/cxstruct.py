@@ -12,7 +12,9 @@ correspondence in both directions, and the round trip is the identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -36,9 +38,9 @@ class AlmostComplexStructure:
             for x in row:
                 if x.im != 0:
                     raise ValueError("J must have real entries")
-        minus_eye = [[Scalar(-1 if i == j else 0) for j in range(n)]
-                     for i in range(n)]
-        if not linalg.mat_eq(linalg.mat_mul(self.matrix, self.matrix), minus_eye):
+        real = [[x.re for x in row] for row in self.matrix]
+        minus_eye = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
+        if not linalg.mat_eq(linalg.mat_mul(real, real), minus_eye):
             raise ValueError("J^2 is not -I")
 
     @property
@@ -90,15 +92,32 @@ class IntegrabilityReport:
 
 
 def is_integrable(l: LieAlgebra, j: AlmostComplexStructure) -> IntegrabilityReport:
+    """First basis pair a < b with N(e_a, e_b) != 0, scanned in ints.
+
+    With A_i = s ad(e_i) from _integer_adjoints, Jt = t J for t the lcm of
+    J's denominators and A(v) = sum v_i A_i, s t^2 N(e_a, e_b) is
+    A(Jt e_a) Jt e_b - Jt (A(Jt e_a) e_b + A_a Jt e_b) - t^2 A_a e_b.
+    """
     if j.dim != l.dim:
         raise ValueError("J dimension does not match the algebra")
-    for a in range(l.dim):
-        ea = [Scalar(1 if k == a else 0) for k in range(l.dim)]
-        for b in range(a + 1, l.dim):
-            eb = [Scalar(1 if k == b else 0) for k in range(l.dim)]
-            val = nijenhuis(l, j, ea, eb)
-            if not linalg.is_zero_vec(val):
-                return IntegrabilityReport(False, (a, b), val)
+    n = l.dim
+    s, ads = l._integer_adjoints()
+    t = math.lcm(*(x.re.denominator for row in j.matrix for x in row))
+    jt = [[int(x.re * t) for x in row] for row in j.matrix]
+    jt_cols = list(zip(*jt))
+    for a in range(n):
+        # A(Jt e_a), one matrix per a
+        ad_ja = [[sum(c * m[r][q] for c, m in zip(jt_cols[a], ads) if c)
+                  for q in range(n)] for r in range(n)]
+        for b in range(a + 1, n):
+            inner = [x + y for x, y in zip(
+                (row[b] for row in ad_ja), linalg.mat_vec(ads[a], jt_cols[b]))]
+            val = [x - y - t * t * row[b] for x, y, row in zip(
+                linalg.mat_vec(ad_ja, jt_cols[b]), linalg.mat_vec(jt, inner),
+                ads[a])]
+            if any(val):
+                return IntegrabilityReport(False, (a, b), [
+                    Scalar(Fraction(x, s * t * t)) for x in val])
     return IntegrabilityReport(True)
 
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import linalg
 from .errors import (BoundTooLarge, DegenerateEigenvectors, NoNonRealEigenvalue,
                      NotReciprocal, NotSemisimple, NotSpecialLinear,
@@ -126,11 +124,13 @@ class LatticeSpec:
 
 
 def _independence_margin(vectors: List[Tuple[complex, complex]]) -> float:
+    import numpy as np
     rows = [[v[0].real, v[0].imag, v[1].real, v[1].imag] for v in vectors]
     return abs(float(np.linalg.det(np.array(rows, dtype=float))))
 
 
 def _residual_eig(a: IntMatrix, vec: np.ndarray, value: complex) -> float:
+    import numpy as np
     av = np.array(a, dtype=complex) @ vec
     return float(np.max(np.abs(av - value * vec)))
 
@@ -146,6 +146,7 @@ def build_lattice_nilpotent(a: Sequence[Sequence[int]],
     collapse there, and the lattice is the standard Gaussian-integer one
     built from the betas instead.
     """
+    import numpy as np
     am = _check_int_matrix(a, 2)
     if _int_det(am) not in (1, -1):
         raise NotSpecialLinear("matrix is not in GL(2, Z)")
@@ -186,6 +187,7 @@ def build_lattice_nilpotent(a: Sequence[Sequence[int]],
 
 def _eigen_pair_vectors(a: IntMatrix, value: complex) -> List[np.ndarray]:
     """Numeric basis of the eigenspace of a for the given eigenvalue."""
+    import numpy as np
     n = len(a)
     vals, vecs = np.linalg.eig(np.array(a, dtype=float))
     cols = [t for t in range(n) if abs(vals[t] - value) < 1e-7]
@@ -200,6 +202,7 @@ def build_lattice_nonnilpotent(a: Sequence[Sequence[int]],
     Either a second matrix b or an integer phase k (mu = k pi i) must be
     supplied for the second lattice direction.
     """
+    import numpy as np
     am = _check_int_matrix(a, 4)
     if _int_det(am) != 1:
         raise NotSpecialLinear("A must have determinant +1")
@@ -283,6 +286,7 @@ def build_lattice_nonnilpotent(a: Sequence[Sequence[int]],
 def nakamura_lattice(a2: Sequence[Sequence[int]], eps_im: Fraction,
                      k: int) -> LatticeSpec:
     """Completely solvable 3a data from A in SL(2,Z) with |trace| > 2."""
+    import numpy as np
     am = _check_int_matrix(a2, 2)
     if _int_det(am) != 1:
         raise NotSpecialLinear("matrix is not in SL(2, Z)")

@@ -124,17 +124,33 @@ class LieAlgebra:
     # -- structural checks ------------------------------------------------
 
     def jacobi_check(self) -> JacobiReport:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                bij = self.bracket_basis(i, j)
-                for k in range(j + 1, self.dim):
-                    acc = self.bracket(bij, self._e(k))
-                    acc = linalg.vec_add(acc, self.bracket(
-                        self.bracket_basis(j, k), self._e(i)))
-                    acc = linalg.vec_add(acc, self.bracket(
-                        self.bracket_basis(k, i), self._e(j)))
-                    if not linalg.is_zero_vec(acc):
-                        return JacobiReport(False, (i, j, k), acc)
+        """First basis triple i < j < k where the Jacobi identity fails.
+
+        With A_i = s ad(e_i) from _integer_adjoints, the Jacobi sum
+        [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] times s^2 is
+        -(A_k A_i e_j + A_i A_j e_k + A_j A_k e_i), so the scan runs on
+        ints and only a reported defect is divided back.
+        """
+        n = self.dim
+        s, ads = self._integer_adjoints()
+        cols = [list(zip(*a)) for a in ads]      # cols[i][j] = A_i e_j
+
+        def apply(k: int, v: Sequence[int]) -> List[int]:
+            out = [0] * n
+            for m, x in enumerate(v):
+                if x:
+                    out = [o + x * c for o, c in zip(out, cols[k][m])]
+            return out
+
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    acc = [a + b + c for a, b, c in zip(
+                        apply(k, cols[i][j]), apply(i, cols[j][k]),
+                        apply(j, cols[k][i]))]
+                    if any(acc):
+                        return JacobiReport(False, (i, j, k), [
+                            Scalar(Fraction(x, -s * s)) for x in acc])
         return JacobiReport(True)
 
     def derived_subalgebra(self) -> Subspace:
@@ -170,7 +186,7 @@ class LieAlgebra:
         return self.lower_central_series()[-1].dim == 0
 
     def is_solvable(self) -> bool:
-        return self.derived_series()[-1].dim == 0
+        return _cartan_solvable(self._integer_adjoints()[1])
 
     def center(self) -> Subspace:
         # v central iff sum_i v_i [e_i, e_j] = 0 for every j
@@ -201,10 +217,10 @@ class LieAlgebra:
         neither A's span nor S, so the closure, the traces and the checks
         run on int matrices. The result is validated post hoc.
         """
-        if not self.is_solvable():
-            raise NotSolvable("nilradical computation requires a solvable algebra")
         n = self.dim
-        ads = self._integer_adjoints()
+        ads = self._integer_adjoints()[1]
+        if not _cartan_solvable(ads):
+            raise NotSolvable("nilradical computation requires a solvable algebra")
         # tr(M ad(e_i)) is the dot product of M and ad(e_i)^T, both flattened
         flat_t = [[a[k][j] for j in range(n) for k in range(n)] for a in ads]
         rows = [[sum(map(operator.mul, m, t)) for t in flat_t]
@@ -213,8 +229,11 @@ class LieAlgebra:
         self._validate_nilradical(space, ads)
         return space
 
-    def _integer_adjoints(self) -> List[List[List[int]]]:
-        """The ad(e_i) times the lcm of the structure constants' denominators."""
+    def _integer_adjoints(self) -> Tuple[int, List[List[List[int]]]]:
+        """(s, [s ad(e_i)]) for s the lcm of the constants' denominators.
+
+        Column j of s ad(e_i) is s [e_i, e_j].
+        """
         n = self.dim
         scale = math.lcm(*(c.re.denominator for row in self._table.values()
                            for c in row.values()))
@@ -223,7 +242,7 @@ class LieAlgebra:
             for k, c in row.items():
                 ads[i][k][j] = int(c.re * scale)
                 ads[j][k][i] = -ads[i][k][j]
-        return ads
+        return scale, ads
 
     def _validate_nilradical(self, space: Subspace,
                              ads: List[List[List[int]]]) -> None:
@@ -352,6 +371,21 @@ def is_nilpotent_matrix(m: List[List]) -> bool:
         m = linalg.mat_mul(m, m)
         k *= 2
     return not any(x for row in m for x in row)
+
+
+def _cartan_solvable(ads: List[List[List[int]]]) -> bool:
+    """Cartan's criterion on A_i = s ad(e_i) (Humphreys, section 4.3).
+
+    In characteristic 0, g is solvable iff tr(ad x ad y) = 0 for every x
+    in g and y in [g,g]. With K_pq = tr(A_p A_q) and [g,g] spanned by the
+    columns of the A_i, that is K A_i = 0 for every i.
+    """
+    n = len(ads)
+    flat = [[x for row in a for x in row] for a in ads]
+    flat_t = [[a[k][j] for j in range(n) for k in range(n)] for a in ads]
+    killing = [[sum(map(operator.mul, p, q)) for q in flat_t] for p in flat]
+    return not any(x for a in ads for row in linalg.mat_mul(killing, a)
+                   for x in row)
 
 
 def _unital_closure(gens: List[List[List[int]]]) -> List[List[int]]:

@@ -46,11 +46,17 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
+    """a v, skipping zero entries of a after the first product of each row.
+
+    The first product fixes the entry type, so an all-zero row still gives
+    a zero of the type a dense product would.
+    """
     out = []
     for row in a:
         acc = row[0] * v[0]
         for p in range(1, len(v)):
-            acc = acc + row[p] * v[p]
+            if row[p]:
+                acc = acc + row[p] * v[p]
         out.append(acc)
     return out
 

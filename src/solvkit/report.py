@@ -14,8 +14,6 @@ import time
 from fractions import Fraction
 from typing import Dict, List
 
-import numpy as np
-
 from . import catalog, cohomology, cxstruct, expforms, lattices, pkforms
 from .cxstruct import j_from_images
 from .errors import NotIntegrable
@@ -232,6 +230,7 @@ def check_round_trip() -> dict:
 
 
 def _numeric_eigen_classification(p: int, q: int) -> str:
+    import numpy as np
     roots = np.roots([1.0, p, q, p, 1.0])
     reals = sum(1 for r in roots if abs(r.imag) < 1e-7)
     unit = any(abs(abs(r) - 1.0) < 1e-7 for r in roots)
@@ -358,6 +357,7 @@ def run_all(seconds: Dict[str, float]) -> List[dict]:
 
 
 def _jsonable(obj):
+    import numpy as np
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -3,10 +3,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import solvkit
 from solvkit import jsonio
 from solvkit.catalog import get
 from solvkit.cli import main
@@ -77,6 +81,48 @@ def test_verify_integrable_fail_reports_witness(capsys, tmp_path):
     assert code == 1
     assert got["integrable"] is False
     assert got["witness_pair"] == [1, 2]
+
+
+# R x_D R^3 with fractional D, and the [e3, e4] = 1/2 e2 that breaks Jacobi
+_FRACTIONAL_BRACKETS = [
+    {"i": 1, "j": 2, "out": {"2": "1/2"}},
+    {"i": 1, "j": 3, "out": {"3": "-2/3", "4": "3/4"}},
+    {"i": 1, "j": 4, "out": {"4": "-2/3"}},
+]
+_NON_JACOBI_BRACKETS = [
+    {"i": 1, "j": 2, "out": {"2": "1/2"}},
+    {"i": 1, "j": 3, "out": {"3": "-2/3", "4": "1"}},
+    {"i": 1, "j": 4, "out": {"4": "3/4"}},
+    {"i": 3, "j": 4, "out": {"2": "1/2"}},
+]
+
+
+def test_verify_integrable_fractional_witness_pinned(capsys, tmp_path):
+    # J = P J0 P^-1 with fractional P and P e1 = e1, so N(e1, e2) = 0
+    p = tmp_path / "frac.json"
+    p.write_text(json.dumps({"dim": 4, "brackets": _FRACTIONAL_BRACKETS, "J": [
+        ["0", "-2", "-4/3", "5/2"], ["1/2", "0", "3/4", "5/48"],
+        ["0", "0", "3/4", "-25/16"], ["0", "0", "1", "-3/4"]]}))
+    code, got, _ = run_json(capsys, ["verify-integrable", str(p)])
+    assert code == 1
+    assert got == {
+        "command": "verify-integrable",
+        "input_digest": hashlib.sha256(p.read_bytes()).hexdigest(),
+        "integrable": False,
+        "witness_pair": [1, 3],
+        "nijenhuis_value": ["11/32", "1657/2304", "225/256", "-21/64"],
+    }
+
+
+@pytest.mark.parametrize("command", ["h1", "verify-integrable"])
+def test_fractional_jacobi_failure_pinned(capsys, tmp_path, command):
+    # triples (1, 2, 3) and (1, 2, 4) hold; (1, 3, 4) is the first to fail
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"dim": 4, "brackets": _NON_JACOBI_BRACKETS}))
+    code, out, err = run(capsys, [command, str(p)])
+    assert code == 3 and not out
+    assert err == ("input error: brackets violate the Jacobi identity at "
+                   "basis triple (1, 3, 4)\n")
 
 
 def test_verify_integrable_needs_j(capsys, tmp_path):
@@ -214,6 +260,34 @@ def test_lattice_build_rejects_bad_matrix(capsys, tmp_path):
     code, _, err = run(capsys, ["lattice", "build", "--kind", "nilpotent",
                                 "--matrix", str(bad)])
     assert code == 3
+
+
+def test_exact_commands_never_import_numpy(tmp_path):
+    """Only the float-gated lattice builders and group-law checks use numpy."""
+    entry = get("hyperelliptic")
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(jsonio.dump_algebra(entry.algebra, entry.j)))
+    jfile = tmp_path / "J.json"
+    jfile.write_text(json.dumps(json.loads(alg.read_text())["J"]))
+    om = tmp_path / "omega.json"
+    om.write_text(json.dumps([{"i": 1, "j": 2, "coeff": "1"},
+                              {"i": 3, "j": 4, "coeff": "1"}]))
+    commands = [["verify-integrable", str(alg)], ["h1", str(alg)],
+                ["classify-form", str(alg), "--J", str(jfile),
+                 "--omega", str(om)],
+                ["lattice", "search", "--bound", "5"]]
+    code = ("import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from solvkit.cli import main\n"
+            "for argv in %r:\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) in (0, 1), argv\n"
+            "print('numpy' in sys.modules)\n" % (commands,))
+    src = os.path.dirname(os.path.dirname(solvkit.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")

@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvkit import catalog, cxstruct, linalg
-from solvkit.cxstruct import (AlmostComplexStructure, is_complex_lie_algebra,
-                              is_integrable, j_from_images, j_from_subspace,
-                              nijenhuis, subalgebra_from_j, tautological_j)
+from solvkit.cxstruct import (AlmostComplexStructure, IntegrabilityReport,
+                              is_complex_lie_algebra, is_integrable,
+                              j_from_images, j_from_subspace, nijenhuis,
+                              subalgebra_from_j, tautological_j)
 from solvkit.errors import NotIntegrable, NotTransverse
 from solvkit.liealg import LieAlgebra
 from solvkit.scalars import Scalar
@@ -65,6 +68,90 @@ def test_integrability_on_catalog():
         if entry.j is None:
             continue
         assert is_integrable(entry.algebra, entry.j).ok, name
+
+
+def _integrable_reference(l, j):
+    """The nijenhuis loop over Scalar brackets that is_integrable replaced."""
+    for a in range(l.dim):
+        ea = [Scalar(1 if k == a else 0) for k in range(l.dim)]
+        for b in range(a + 1, l.dim):
+            eb = [Scalar(1 if k == b else 0) for k in range(l.dim)]
+            val = nijenhuis(l, j, ea, eb)
+            if not linalg.is_zero_vec(val):
+                return IntegrabilityReport(False, (a, b), val)
+    return IntegrabilityReport(True)
+
+
+def test_integrability_matches_reference_on_catalog():
+    for name in catalog.list_names():
+        entry = catalog.get(name)
+        js = [entry.j] + ([pair_swap_j4()] if entry.algebra.dim == 4 else [])
+        for j in js:
+            assert is_integrable(entry.algebra, j) == \
+                _integrable_reference(entry.algebra, j), name
+
+
+H, T, Q = Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)
+# R x_D R^3 with fractional D and the standard J, which is not integrable
+SEMIDIRECT = LieAlgebra(4, {(0, 1): {1: H}, (0, 2): {2: T, 3: Q},
+                            (0, 3): {3: T}})
+
+
+def test_integrability_witness_with_fractions():
+    # J = P J0 P^-1 with fractional P and P e1 = e1, so N(e1, e2) = 0
+    j = AlmostComplexStructure([[0, -2, Fraction(-4, 3), Fraction(5, 2)],
+                                [H, 0, Q, Fraction(5, 48)],
+                                [0, 0, Q, Fraction(-25, 16)], [0, 0, 1, -Q]])
+    rep = is_integrable(SEMIDIRECT, j)
+    assert rep == IntegrabilityReport(False, (0, 2), [
+        Scalar(Fraction(11, 32)), Scalar(Fraction(1657, 2304)),
+        Scalar(Fraction(225, 256)), Scalar(Fraction(-21, 64))])
+    assert rep == _integrable_reference(SEMIDIRECT, j)
+
+
+def _transport(l, p):
+    """The algebra with constants P^-1 [P e_i, P e_j]: isomorphic to l."""
+    n = l.dim
+    p_inv = linalg.inverse(p)
+    cols = linalg.transpose(p)
+    return LieAlgebra(n, {
+        (i, j): dict(enumerate(linalg.mat_vec(p_inv, l.bracket(cols[i], cols[j]))))
+        for i in range(n) for j in range(i + 1, n)})
+
+
+_POOL = [0, 0, 0, 1, -1, 2, H, T, Q]
+
+
+@st.composite
+def _algebra_and_j(draw):
+    """A J conjugated by a fractional P, on l or on l carried along by P.
+
+    Carried along, the pair stays integrable iff it was; on the unchanged
+    algebra the conjugated J is usually not integrable.
+    """
+    name = draw(st.sampled_from(["hyperelliptic", "inoue-s0", "inoue-spm",
+                                 "secondary-kodaira", "semidirect"]))
+    if name == "semidirect":
+        l, j = SEMIDIRECT, standard_j4()
+    else:
+        l, j = catalog.get(name).algebra, catalog.get(name).j
+    n = l.dim
+    low = [[1 if r == c else (draw(st.sampled_from(_POOL)) if r > c else 0)
+            for c in range(n)] for r in range(n)]
+    up = [[draw(st.sampled_from(_POOL[3:])) if r == c else
+           (draw(st.sampled_from(_POOL)) if r < c else 0)
+           for c in range(n)] for r in range(n)]
+    p = linalg.mat_mul(low, up)
+    moved = AlmostComplexStructure(
+        linalg.mat_mul(linalg.mat_mul(linalg.inverse(p), j.matrix), p))
+    return (_transport(l, p) if draw(st.booleans()) else l), moved
+
+
+@settings(max_examples=30)
+@given(_algebra_and_j())
+def test_integrability_matches_reference_on_conjugated_j(pair):
+    l, j = pair
+    assert is_integrable(l, j) == _integrable_reference(l, j)
 
 
 def test_negative_controls_frozen():

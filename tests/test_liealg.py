@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from solvkit import catalog, linalg
 from solvkit.errors import InternalCheckFailed, NotSolvable
-from solvkit.liealg import (LieAlgebra, is_nilpotent_matrix,
+from solvkit.liealg import (JacobiReport, LieAlgebra, is_nilpotent_matrix,
                             realify_complex_brackets)
 from solvkit.linalg import Subspace
 from solvkit.scalars import Scalar
@@ -225,6 +225,130 @@ def test_nilradical_matches_reference_on_semidirect_products(l):
     assert l.nilradical_solvable() == _nilradical_reference(l)
 
 
+def _jacobi_reference(l):
+    """The Scalar bracket loop that jacobi_check replaced."""
+    for i in range(l.dim):
+        for j in range(i + 1, l.dim):
+            bij = l.bracket_basis(i, j)
+            for k in range(j + 1, l.dim):
+                acc = l.bracket(bij, l._e(k))
+                acc = linalg.vec_add(acc, l.bracket(l.bracket_basis(j, k), l._e(i)))
+                acc = linalg.vec_add(acc, l.bracket(l.bracket_basis(k, i), l._e(j)))
+                if not linalg.is_zero_vec(acc):
+                    return JacobiReport(False, (i, j, k), acc)
+    return JacobiReport(True)
+
+
+def _solvable_reference(l):
+    return l.derived_series()[-1].dim == 0
+
+
+SL2 = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+NOT_SOLVABLE = {
+    "sl2": SL2,
+    "so3": LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}}),
+    # basis E11, E12, E21, E22
+    "gl2": LieAlgebra(4, {(0, 1): {1: 1}, (0, 2): {2: -1},
+                          (1, 2): {0: 1, 3: -1}, (1, 3): {1: 1},
+                          (2, 3): {2: -1}}),
+    # E, F, H acting on R^2 = span(e3, e4)
+    "sl2-x-R2": LieAlgebra(5, {(0, 1): {2: 1}, (0, 2): {0: -2},
+                               (1, 2): {1: 2}, (0, 4): {3: 1}, (1, 3): {4: 1},
+                               (2, 3): {3: 1}, (2, 4): {4: -1}}),
+    "sl2-complexified": SL2.complexify(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_SOLVABLE))
+def test_not_solvable(name):
+    l = NOT_SOLVABLE[name]
+    assert l.jacobi_check() == _jacobi_reference(l) == JacobiReport(True)
+    assert not l.is_solvable()
+    assert not _solvable_reference(l)
+
+
+def test_kernels_match_reference_on_catalog():
+    for name in catalog.list_names():
+        l = catalog.get(name).algebra
+        assert l.jacobi_check() == _jacobi_reference(l) == JacobiReport(True)
+        assert l.is_solvable() and _solvable_reference(l), name
+
+
+NON_JACOBI = [
+    # the first failing triple is the third, with a fractional defect
+    (LieAlgebra(4, {(0, 1): {1: H}, (0, 2): {2: T, 3: 1},
+                    (0, 3): {3: Fraction(3, 4)}, (2, 3): {1: H}}),
+     (0, 2, 3), [0, Fraction(-5, 24), 0, 0]),
+    (LieAlgebra(3, {(0, 1): {1: H}, (1, 2): {0: T}}),
+     (0, 1, 2), [Fraction(-1, 3), 0, 0]),
+    (LieAlgebra(5, {(0, 1): {2: 1}, (3, 4): {0: Fraction(3, 4)}, (2, 3): {4: T}}),
+     (0, 1, 3), [0, 0, 0, 0, T]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(NON_JACOBI)))
+def test_jacobi_witness_with_fractions(case):
+    l, triple, defect = NON_JACOBI[case]
+    rep = l.jacobi_check()
+    assert rep == JacobiReport(False, triple, [Scalar(x) for x in defect])
+    assert rep == _jacobi_reference(l)
+
+
+def _transport(l, p):
+    """The algebra with constants P^-1 [P e_i, P e_j]: isomorphic to l."""
+    n = l.dim
+    p_inv = linalg.inverse(p)
+    cols = linalg.transpose(p)
+    return LieAlgebra(n, {
+        (i, j): dict(enumerate(linalg.mat_vec(p_inv, l.bracket(cols[i], cols[j]))))
+        for i in range(n) for j in range(i + 1, n)})
+
+
+_POOL = [0, 0, 0, 1, -1, 2, H, T, Fraction(3, 4)]
+
+
+@st.composite
+def _invertible(draw, n):
+    """L U with unit lower L and an upper U with nonzero diagonal."""
+    low = [[1 if i == j else (draw(st.sampled_from(_POOL)) if i > j else 0)
+            for j in range(n)] for i in range(n)]
+    up = [[draw(st.sampled_from(_POOL[3:])) if i == j else
+           (draw(st.sampled_from(_POOL)) if i < j else 0)
+           for j in range(n)] for i in range(n)]
+    return linalg.mat_mul(low, up)
+
+
+@st.composite
+def _transported_algebras(draw):
+    base = draw(st.sampled_from(
+        [NOT_SOLVABLE[k] for k in ("sl2", "so3", "gl2")]
+        + [catalog.get(k).algebra for k in ("inoue-s0", "secondary-kodaira")]
+        + [_semidirect([[H, 1], [0, T]])]))
+    return _transport(base, draw(_invertible(base.dim)))
+
+
+@st.composite
+def _bracket_tables(draw):
+    n = draw(st.integers(3, 5))
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                table[(i, j)] = draw(st.dictionaries(
+                    st.integers(0, n - 1), st.sampled_from(_POOL[3:]),
+                    min_size=1, max_size=2))
+    return LieAlgebra(n, table)
+
+
+@settings(max_examples=30)
+@given(st.one_of(_transported_algebras(), _bracket_tables()))
+def test_kernels_match_reference_on_random_tables(l):
+    rep = l.jacobi_check()
+    assert rep == _jacobi_reference(l)
+    if rep.ok:
+        assert l.is_solvable() == _solvable_reference(l)
+
+
 def test_validate_nilradical_rejects_each_wrong_answer():
     h3 = heisenberg3()
     aff = LieAlgebra(2, {(0, 1): {1: H}})
@@ -238,7 +362,7 @@ def test_validate_nilradical_rejects_each_wrong_answer():
     ]
     for l, space, message in cases:
         with pytest.raises(InternalCheckFailed, match=message):
-            l._validate_nilradical(space, l._integer_adjoints())
+            l._validate_nilradical(space, l._integer_adjoints()[1])
 
 
 def test_is_nilpotent_matrix():

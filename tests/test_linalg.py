@@ -28,6 +28,23 @@ def test_mat_mul_and_vec():
                                    [Fraction(2), Fraction(4)]]
 
 
+def test_mat_vec_sparse_matches_dense():
+    """Skipping zero entries keeps the values and the entry type."""
+    rng = random.Random(13)
+    kinds = [int, Fraction, lambda x: Scalar(x, rng.choice([0, 0, 1]))]
+    for _ in range(60):
+        conv = rng.choice(kinds)
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[conv(rng.choice([0, 0, 0, 1, -2, Fraction(1, 2)]))
+              for _ in range(m)] for _ in range(n)]
+        v = [conv(rng.randint(-3, 3)) for _ in range(m)]
+        dense = [sum((x * y for x, y in zip(row[1:], v[1:])), row[0] * v[0])
+                 for row in a]
+        got = linalg.mat_vec(a, v)
+        assert got == dense
+        assert [type(x) for x in got] == [type(x) for x in dense]
+
+
 def test_rref_rank_nullspace_random():
     rng = random.Random(7)
     for _ in range(60):
