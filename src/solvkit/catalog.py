@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .cxstruct import AlmostComplexStructure, j_from_images, tautological_j
 from .errors import NoGroupLaw, ParamOutOfRange, UnknownName
 from .liealg import LieAlgebra, realify_complex_brackets
-from .scalars import Scalar
 
 Point = Tuple[complex, ...]
 

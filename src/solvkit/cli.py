@@ -153,25 +153,6 @@ def cmd_verify_theorem9(args) -> int:
     return 0 if ok else 1
 
 
-def _load_int_matrix(path: str) -> List[List[int]]:
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise SchemaError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
-        raise SchemaError("%s is not valid JSON: %s" % (path, e))
-    raw = doc.get("matrix") if isinstance(doc, dict) else doc
-    if not isinstance(raw, list) or \
-            any(not isinstance(row, list) for row in raw):
-        raise SchemaError("%s: expected a matrix (list of rows)" % path)
-    for row in raw:
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise SchemaError("%s: integer entries required" % path)
-    return raw
-
-
 def cmd_lattice(args) -> int:
     if args.action == "search":
         if args.bound < 0:
@@ -192,11 +173,11 @@ def cmd_lattice(args) -> int:
             _print(out)
         return 0
     # build
-    matrix = _load_int_matrix(args.matrix)
+    matrix = jsonio.load_int_matrix(args.matrix)
     if args.kind == "nilpotent":
         spec = lattices.build_lattice_nilpotent(matrix)
     elif args.kind == "nonnilpotent":
-        b = _load_int_matrix(args.b) if args.b else None
+        b = jsonio.load_int_matrix(args.b) if args.b else None
         if b is None and args.k is None:
             raise SchemaError("nonnilpotent build needs --b or --k")
         spec = lattices.build_lattice_nonnilpotent(matrix, b=b, k=args.k)

@@ -18,7 +18,7 @@ true maximal subspace.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .errors import (BadHolonomy, DegreeTooHigh, InternalCheckFailed,
@@ -28,13 +28,17 @@ from .liealg import LieAlgebra
 from .linalg import Subspace
 from .polys import (Poly, all_roots_real, count_real_roots, factor_rational,
                     is_squarefree)
-from .scalars import Scalar, sc
+from .scalars import Scalar, exact
 
 MAX_DEGREE = 3
 
 
 class Cochain:
-    """Alternating k-form on an n-dimensional algebra, k <= 3."""
+    """Alternating k-form on an n-dimensional algebra, k <= 3.
+
+    Coefficients are read through scalars.exact: Fractions for real
+    values, Scalars only for the complex ones of expforms.restrict_identity.
+    """
 
     def __init__(self, dim: int, degree: int, coeffs: Optional[Dict] = None):
         if degree < 0 or degree > MAX_DEGREE:
@@ -43,31 +47,31 @@ class Cochain:
             raise ValueError("positive dimension required")
         self.dim = dim
         self.degree = degree
-        self.coeffs: Dict[Tuple[int, ...], Scalar] = {}
+        self.coeffs: Dict[Tuple[int, ...], Union[Fraction, Scalar]] = {}
         for key, val in (coeffs or {}).items():
             key = check_key(key, degree, dim)
-            v = sc(val)
+            v = exact(val)
             if v:
                 self.coeffs[key] = v
 
-    def coefficient(self, *indices: int) -> Scalar:
+    def coefficient(self, *indices: int) -> Union[Fraction, Scalar]:
         """Value on the given basis indices, any order, exact sign handling."""
         if len(indices) != self.degree:
             raise ValueError("expected %d indices" % self.degree)
         merged = sort_sign(indices)
         if merged is None:
-            return Scalar(0)
+            return Fraction(0)
         key, sign = merged
-        base = self.coeffs.get(key, Scalar(0))
+        base = self.coeffs.get(key, Fraction(0))
         return base if sign == 1 else -base
 
-    def evaluate(self, *vectors: Sequence) -> Scalar:
+    def evaluate(self, *vectors: Sequence) -> Union[Fraction, Scalar]:
         if len(vectors) != self.degree:
             raise ValueError("expected %d vectors" % self.degree)
-        vecs = [[sc(x) for x in v] for v in vectors]
+        vecs = [[exact(x) for x in v] for v in vectors]
         if self.degree == 0:
-            return self.coeffs.get((), Scalar(0))
-        total = Scalar(0)
+            return self.coeffs.get((), Fraction(0))
+        total = Fraction(0)
         for key, val in self.coeffs.items():
             # sum over assignments of the key's indices to argument slots
             total = total + val * _alt_minor(vecs, key)
@@ -78,11 +82,11 @@ class Cochain:
             raise ValueError("cochain shape mismatch")
         out = dict(self.coeffs)
         for key, val in other.coeffs.items():
-            out[key] = out.get(key, Scalar(0)) + val
+            out[key] = out.get(key, 0) + val
         return Cochain(self.dim, self.degree, out)
 
     def scale(self, factor) -> "Cochain":
-        f = sc(factor)
+        f = exact(factor)
         return Cochain(self.dim, self.degree,
                        {k: f * v for k, v in self.coeffs.items()})
 
@@ -128,7 +132,7 @@ def check_key(key: Sequence[int], degree: int, size: int) -> Tuple[int, ...]:
     return key
 
 
-def _alt_minor(vecs: List[List[Scalar]], key: Tuple[int, ...]) -> Scalar:
+def _alt_minor(vecs: List[List], key: Tuple[int, ...]):
     """det of the matrix (vecs[r][key[c]]) — the alternating evaluation."""
     k = len(key)
     m = [[vecs[r][key[c]] for c in range(k)] for r in range(k)]
@@ -136,11 +140,11 @@ def _alt_minor(vecs: List[List[Scalar]], key: Tuple[int, ...]) -> Scalar:
 
 
 def one_form(dim: int, index: int, coeff=1) -> Cochain:
-    return Cochain(dim, 1, {(index,): sc(coeff)})
+    return Cochain(dim, 1, {(index,): coeff})
 
 
 def two_form_terms(dim: int, terms: Dict[Tuple[int, int], object]) -> Cochain:
-    return Cochain(dim, 2, {k: sc(v) for k, v in terms.items()})
+    return Cochain(dim, 2, terms)
 
 
 def ce_d(l: LieAlgebra, c: Cochain) -> Cochain:
@@ -152,12 +156,12 @@ def ce_d(l: LieAlgebra, c: Cochain) -> Cochain:
     n = l.dim
     if c.degree == 0:
         return Cochain(n, 1)
-    out: Dict[Tuple[int, ...], Scalar] = {}
+    out: Dict[Tuple[int, ...], object] = {}
     if c.degree == 1:
         for i in range(n):
             for j in range(i + 1, n):
                 w = l.bracket_basis(i, j)
-                val = Scalar(0)
+                val = Fraction(0)
                 for m, coef in enumerate(w):
                     if coef:
                         val = val - coef * c.coefficient(m)
@@ -168,7 +172,7 @@ def ce_d(l: LieAlgebra, c: Cochain) -> Cochain:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                val = Scalar(0)
+                val = Fraction(0)
                 for m, coef in enumerate(l.bracket_basis(i, j)):
                     if coef:
                         val = val - coef * c.coefficient(m, k)
@@ -215,14 +219,16 @@ class HolonomyAction:
     def __init__(self, generators: Sequence[Sequence[Sequence[object]]]):
         self.generators: List[List[List[Fraction]]] = []
         for t, g in enumerate(generators):
-            mat = [[_to_fraction(x) for x in row] for row in g]
+            mat = [[exact(x) for x in row] for row in g]
+            if any(isinstance(x, Scalar) for row in mat for x in row):
+                raise ValueError("holonomy entries must be real")
             where = "generators[%d]" % t
             if any(len(row) != len(mat) for row in mat):
                 raise BadHolonomy("%s: matrix must be square" % where)
             if self.generators and len(mat) != len(self.generators[0]):
                 raise BadHolonomy("%s has size %d but generators[0] has size %d"
                                   % (where, len(mat), len(self.generators[0])))
-            if linalg.det([[Scalar(x) for x in row] for row in mat]) == Scalar(0):
+            if linalg.det(mat) == 0:
                 raise BadHolonomy("%s: matrix is singular" % where)
             self.generators.append(mat)
         self.size = len(self.generators[0]) if self.generators else 0
@@ -233,28 +239,12 @@ class HolonomyAction:
         for a in range(len(self.generators)):
             for b in range(a + 1, len(self.generators)):
                 ga, gb = self.generators[a], self.generators[b]
-                if _frac_mul(ga, gb) != _frac_mul(gb, ga):
+                if linalg.mat_mul(ga, gb) != linalg.mat_mul(gb, ga):
                     raise NonCommutingHolonomy(
                         "generators %d and %d do not commute" % (a, b))
 
     def __len__(self):
         return len(self.generators)
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Scalar):
-        if x.im != 0:
-            raise ValueError("holonomy entries must be real")
-        return x.re
-    if isinstance(x, float):
-        raise TypeError("exact entries required, got float")
-    return Fraction(x)
-
-
-def _frac_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
 
 
 def real_part_subspace(g: List[List[Fraction]]) -> Subspace:
@@ -274,28 +264,25 @@ def real_part_subspace(g: List[List[Fraction]]) -> Subspace:
         return Subspace(n)
     if real_roots == m.degree:
         return Subspace(n, linalg.identity(n))
-    out_vectors: List[List[Scalar]] = []
+    out_vectors: List[List[Fraction]] = []
     for factor, _mult in factor_rational(m):
         if factor.degree < 1:
             continue
         if not all_roots_real(factor):
             continue
-        fg = _poly_apply(factor, g)
-        ker = linalg.nullspace([[Scalar(x) for x in row] for row in fg])
-        out_vectors.extend(ker)
+        out_vectors.extend(linalg.nullspace(_poly_apply(factor, g)))
     return Subspace(n, out_vectors)
 
 
-def _poly_apply(p: Poly, g: List[List[Fraction]]):
+def _poly_apply(p: Poly, g: List[List[Fraction]]) -> List[List[Fraction]]:
     n = len(g)
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    power = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    acc = linalg.zeros(n, n)
+    power = linalg.identity(n)
     for c in p.coeffs:
         if c:
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] += c * power[i][j]
-        power = _frac_mul(power, g)
+            acc = [[x + c * y for x, y in zip(ra, rp)]
+                   for ra, rp in zip(acc, power)]
+        power = linalg.mat_mul(power, g)
     return acc
 
 
@@ -331,9 +318,7 @@ def winkelmann_h1(l: LieAlgebra, h: HolonomyAction) -> Dict[str, int]:
     if q_dim == 0:
         dim_w_real = 0
     else:
-        w = Subspace(q_dim, [
-            [Scalar(1 if i == j else 0) for j in range(q_dim)]
-            for i in range(q_dim)])
+        w = Subspace(q_dim, linalg.identity(q_dim))
         for g in h.generators:
             w = w.intersect(real_part_subspace(g))
         dim_w_real = w.dim

@@ -21,34 +21,32 @@ from . import linalg
 from .errors import InternalCheckFailed, NotIntegrable, NotTransverse
 from .liealg import LieAlgebra
 from .linalg import Subspace
-from .scalars import Scalar, sc
+from .scalars import Scalar, exact
 
 
 class AlmostComplexStructure:
     """An exact matrix J with J^2 = -I on an even-dimensional real algebra."""
 
     def __init__(self, matrix: Sequence[Sequence[object]]):
-        self.matrix = [[sc(x) for x in row] for row in matrix]
+        self.matrix = [[exact(x) for x in row] for row in matrix]
         n = len(self.matrix)
         if n % 2:
             raise ValueError("almost complex structure needs even dimension")
         if any(len(row) != n for row in self.matrix):
             raise ValueError("J must be square")
-        for row in self.matrix:
-            for x in row:
-                if x.im != 0:
-                    raise ValueError("J must have real entries")
-        real = [[x.re for x in row] for row in self.matrix]
+        if any(isinstance(x, Scalar) for row in self.matrix for x in row):
+            raise ValueError("J must have real entries")
         minus_eye = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
-        if not linalg.mat_eq(linalg.mat_mul(real, real), minus_eye):
+        if not linalg.mat_eq(linalg.mat_mul(self.matrix, self.matrix),
+                             minus_eye):
             raise ValueError("J^2 is not -I")
 
     @property
     def dim(self) -> int:
         return len(self.matrix)
 
-    def apply(self, v: Sequence) -> List[Scalar]:
-        return linalg.mat_vec(self.matrix, [sc(x) for x in v])
+    def apply(self, v: Sequence) -> List[Fraction]:
+        return linalg.mat_vec(self.matrix, [exact(x) for x in v])
 
     def __eq__(self, other):
         return (isinstance(other, AlmostComplexStructure)
@@ -65,16 +63,16 @@ def j_from_images(dim: int, images: dict) -> AlmostComplexStructure:
     (index, coeff) pairs. Unspecified columns are zero, which will fail the
     J^2 = -I validation, so every column must be pinned down.
     """
-    m = [[Scalar(0)] * dim for _ in range(dim)]
+    m = [[0] * dim for _ in range(dim)]
     for j, pairs in images.items():
         items = pairs.items() if isinstance(pairs, dict) else pairs
         for i, c in items:
-            m[i][j] = sc(c)
+            m[i][j] = c
     return AlmostComplexStructure(m)
 
 
 def nijenhuis(l: LieAlgebra, j: AlmostComplexStructure,
-              u: Sequence, v: Sequence) -> List[Scalar]:
+              u: Sequence, v: Sequence) -> List[Fraction]:
     ju = j.apply(u)
     jv = j.apply(v)
     term = l.bracket(ju, jv)
@@ -88,7 +86,7 @@ def nijenhuis(l: LieAlgebra, j: AlmostComplexStructure,
 class IntegrabilityReport:
     ok: bool
     witness: Optional[Tuple[int, int]] = None
-    value: Optional[List[Scalar]] = None
+    value: Optional[List[Fraction]] = None
 
 
 def is_integrable(l: LieAlgebra, j: AlmostComplexStructure) -> IntegrabilityReport:
@@ -102,8 +100,8 @@ def is_integrable(l: LieAlgebra, j: AlmostComplexStructure) -> IntegrabilityRepo
         raise ValueError("J dimension does not match the algebra")
     n = l.dim
     s, ads = l._integer_adjoints()
-    t = math.lcm(*(x.re.denominator for row in j.matrix for x in row))
-    jt = [[int(x.re * t) for x in row] for row in j.matrix]
+    t = math.lcm(*(x.denominator for row in j.matrix for x in row))
+    jt = [[int(x * t) for x in row] for row in j.matrix]
     jt_cols = list(zip(*jt))
     for a in range(n):
         # A(Jt e_a), one matrix per a
@@ -117,7 +115,7 @@ def is_integrable(l: LieAlgebra, j: AlmostComplexStructure) -> IntegrabilityRepo
                 ads[a])]
             if any(val):
                 return IntegrabilityReport(False, (a, b), [
-                    Scalar(Fraction(x, s * t * t)) for x in val])
+                    Fraction(x, s * t * t) for x in val])
     return IntegrabilityReport(True)
 
 
@@ -150,7 +148,7 @@ def subalgebra_from_j(l: LieAlgebra, j: AlmostComplexStructure) -> ComplexSubalg
     lc = l.complexify()
     vecs = []
     for k in range(n):
-        ek = [Scalar(1 if a == k else 0) for a in range(n)]
+        ek = l._e(k)
         jek = j.apply(ek)
         vecs.append(ek + jek)                       # X_k + i J X_k
         vecs.append([-x for x in jek] + ek)          # i (X_k + i J X_k)
@@ -172,9 +170,9 @@ def subalgebra_from_j(l: LieAlgebra, j: AlmostComplexStructure) -> ComplexSubalg
     return ComplexSubalgebra(lc, space)
 
 
-def _apply_sigma(lc: LieAlgebra, v: Sequence) -> List[Scalar]:
+def _apply_sigma(lc: LieAlgebra, v: Sequence) -> List[Fraction]:
     assert lc.sigma is not None
-    return linalg.mat_vec(lc.sigma, [sc(x) for x in v])
+    return linalg.mat_vec(lc.sigma, v)
 
 
 def j_from_subspace(lc: LieAlgebra, space: Subspace) -> AlmostComplexStructure:
@@ -183,7 +181,9 @@ def j_from_subspace(lc: LieAlgebra, space: Subspace) -> AlmostComplexStructure:
     lc must be a complexification (form "complex" with sigma); space is
     h in real coordinates, invariant under multiplication by i. For each
     basis vector X of the original algebra the unique element of h with
-    real part X has imaginary part JX.
+    real part X has imaginary part JX. With R and M the real and imaginary
+    halves of h's basis rows, that element is c M for c R = X, so
+    J = M^T (R^T)^(-1).
     """
     if lc.form != "complex" or lc.sigma is None:
         raise ValueError("expected a complexification with conjugation")
@@ -192,39 +192,30 @@ def j_from_subspace(lc: LieAlgebra, space: Subspace) -> AlmostComplexStructure:
         raise ValueError("subspace lives in the wrong ambient space")
     mi = lc.mult_i_matrix()
     for v in space.basis:
-        if not space.contains(linalg.mat_vec(mi, [sc(x) for x in v])):
+        if not space.contains(linalg.mat_vec(mi, v)):
             raise NotTransverse("subspace is not invariant under multiplication by i")
     conj_vecs = [_apply_sigma(lc, v) for v in space.basis]
     if space.dim != n or linalg.rank(space.basis + conj_vecs) != 2 * n:
         raise NotTransverse("subspace and its conjugate do not split the space")
-    # write each (e_k, 0) + (0, J e_k) element: solve c . B_re = e_k
     b_re = [row[:n] for row in space.basis]
     b_im = [row[n:] for row in space.basis]
-    cols = []
-    for k in range(n):
-        target = [Scalar(1 if a == k else 0) for a in range(n)]
-        try:
-            c = linalg.solve_unique(linalg.transpose(b_re), target)
-        except ValueError as exc:
-            raise NotTransverse("real parts of the subspace do not span") from exc
-        img = [Scalar(0)] * n
-        for coef, row in zip(c, b_im):
-            if coef:
-                img = linalg.vec_add(img, linalg.vec_scale(coef, row))
-        cols.append(img)
-    matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return AlmostComplexStructure(matrix)
+    try:
+        re_inv = linalg.inverse(linalg.transpose(b_re))
+    except ValueError as exc:
+        raise NotTransverse("real parts of the subspace do not span") from exc
+    return AlmostComplexStructure(
+        linalg.mat_mul(linalg.transpose(b_im), re_inv))
 
 
 def is_complex_lie_algebra(l: LieAlgebra, j: AlmostComplexStructure) -> bool:
     """True iff J commutes with every adjoint map: J[X, Y] = [JX, Y]."""
     for a in range(l.dim):
-        ea = [Scalar(1 if k == a else 0) for k in range(l.dim)]
+        ea = l._e(a)
         jea = j.apply(ea)
         for b in range(l.dim):
             if a == b:
                 continue
-            eb = [Scalar(1 if k == b else 0) for k in range(l.dim)]
+            eb = l._e(b)
             lhs = j.apply(l.bracket(ea, eb))
             rhs = l.bracket(jea, eb)
             if lhs != rhs:

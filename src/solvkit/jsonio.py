@@ -19,23 +19,28 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cxstruct import AlmostComplexStructure
 from .errors import SchemaError
 from .liealg import LieAlgebra
 from .pkforms import TwoForm
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, exact, format_scalar, parse_scalar
 
 
-def load_document(path: str) -> dict:
+def _read_json(path: str):
+    """The JSON value in the file at `path`; SchemaError if it cannot be read."""
     try:
         with open(path, "r") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise SchemaError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise SchemaError("%s is not valid JSON: %s" % (path, e))
+
+
+def load_document(path: str) -> dict:
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("%s: top level must be a JSON object" % path)
     return doc
@@ -139,13 +144,7 @@ def j_from_document(doc: dict) -> Optional[AlmostComplexStructure]:
 
 def load_j_matrix(path: str, dim: int) -> AlmostComplexStructure:
     """Read a J stored either bare ([[...]]) or under a "J" key."""
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise SchemaError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
-        raise SchemaError("%s is not valid JSON: %s" % (path, e))
+    doc = _read_json(path)
     raw = doc.get("J") if isinstance(doc, dict) else doc
     m = _matrix_at(raw, dim, "J")
     try:
@@ -159,13 +158,7 @@ def load_holonomy(path: str) -> List[List[List[Fraction]]]:
 
     Accepts either a bare list or {"generators": [...]}.
     """
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise SchemaError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
-        raise SchemaError("%s is not valid JSON: %s" % (path, e))
+    doc = _read_json(path)
     raw = doc.get("generators") if isinstance(doc, dict) else doc
     if not isinstance(raw, list):
         raise SchemaError("holonomy: expected a list of matrices")
@@ -181,11 +174,11 @@ def load_holonomy(path: str) -> List[List[List[Fraction]]]:
         for r, row in enumerate(mat):
             vals = []
             for c, x in enumerate(row):
-                s = _scalar_at(x, "%s[%d][%d]" % (where, r, c))
-                if s.im != 0:
+                v = exact(_scalar_at(x, "%s[%d][%d]" % (where, r, c)))
+                if isinstance(v, Scalar):
                     raise SchemaError("%s[%d][%d]: real entry required"
                                       % (where, r, c))
-                vals.append(s.re)
+                vals.append(v)
             rows.append(vals)
         out.append(rows)
     return out
@@ -193,13 +186,7 @@ def load_holonomy(path: str) -> List[List[List[Fraction]]]:
 
 def load_two_form(path: str, dim: int) -> TwoForm:
     """Read a 2-form given as entries {"i": 1, "j": 4, "coeff": "2"} (1-based)."""
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise SchemaError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
-        raise SchemaError("%s is not valid JSON: %s" % (path, e))
+    doc = _read_json(path)
     raw = doc.get("terms") if isinstance(doc, dict) else doc
     if not isinstance(raw, list):
         raise SchemaError("omega: expected a list of {i, j, coeff} entries")
@@ -224,6 +211,20 @@ def load_two_form(path: str, dim: int) -> TwoForm:
         return TwoForm(dim, coeffs)
     except ValueError as e:
         raise SchemaError("omega: %s" % e)
+
+
+def load_int_matrix(path: str) -> List[List[int]]:
+    """Read an integer matrix stored either bare or under a "matrix" key."""
+    doc = _read_json(path)
+    raw = doc.get("matrix") if isinstance(doc, dict) else doc
+    if not isinstance(raw, list) or \
+            any(not isinstance(row, list) for row in raw):
+        raise SchemaError("%s: expected a matrix (list of rows)" % path)
+    for row in raw:
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise SchemaError("%s: integer entries required" % path)
+    return raw
 
 
 # ---------------------------------------------------------------------------

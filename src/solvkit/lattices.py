@@ -22,7 +22,6 @@ from .errors import (BoundTooLarge, DegenerateEigenvectors, NoNonRealEigenvalue,
                      NotSquarefree, TraceTooSmall)
 from .polys import (Poly, count_real_roots, has_unit_modulus_root,
                     is_squarefree, squarefree_part)
-from .scalars import Scalar
 
 RESIDUAL_TOL = 1e-9
 INDEPENDENCE_MARGIN = 1e-6
@@ -45,14 +44,14 @@ def _check_int_matrix(a: Sequence[Sequence[object]], size: int) -> IntMatrix:
 
 
 def _int_det(a: IntMatrix) -> int:
-    d = linalg.det([[Fraction(x) for x in row] for row in a])
+    d = linalg.det(a)
     assert d.denominator == 1
     return int(d)
 
 
 def char_poly(a: Sequence[Sequence[int]]) -> Poly:
     """Exact monic characteristic polynomial of an integer matrix."""
-    return linalg.char_poly([[Fraction(x) for x in row] for row in a])
+    return linalg.char_poly(a)
 
 
 @dataclass(frozen=True)
@@ -83,17 +82,9 @@ def semisimple_commuting_check(a: Sequence[Sequence[int]],
     n = len(a)
     am = _check_int_matrix(a, n)
     bm = _check_int_matrix(b, n)
-    ab = [[sum(am[i][k] * bm[k][j] for k in range(n)) for j in range(n)]
-          for i in range(n)]
-    ba = [[sum(bm[i][k] * am[k][j] for k in range(n)) for j in range(n)]
-          for i in range(n)]
-    if ab != ba:
+    if linalg.mat_mul(am, bm) != linalg.mat_mul(bm, am):
         return False
-    for m in (am, bm):
-        mp = linalg.min_poly([[Fraction(x) for x in row] for row in m])
-        if not is_squarefree(mp):
-            return False
-    return True
+    return all(is_squarefree(linalg.min_poly(m)) for m in (am, bm))
 
 
 @dataclass
@@ -206,7 +197,7 @@ def build_lattice_nonnilpotent(a: Sequence[Sequence[int]],
     am = _check_int_matrix(a, 4)
     if _int_det(am) != 1:
         raise NotSpecialLinear("A must have determinant +1")
-    mp = linalg.min_poly([[Fraction(x) for x in row] for row in am])
+    mp = linalg.min_poly(am)
     if not is_squarefree(mp):
         raise NotSemisimple("A is not semisimple")
     cp = char_poly(am)

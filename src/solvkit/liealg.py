@@ -29,7 +29,7 @@ from . import linalg
 from .errors import InternalCheckFailed, NotSolvable
 from .linalg import Subspace
 from .polys import all_roots_pure_imaginary, all_roots_real
-from .scalars import Scalar, sc
+from .scalars import Scalar, exact, sc
 
 DEFAULT_SEED = 20240911
 
@@ -45,7 +45,7 @@ BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
 class JacobiReport:
     ok: bool
     witness: Optional[Tuple[int, int, int]] = None
-    defect: Optional[List[Scalar]] = None
+    defect: Optional[List[Fraction]] = None
 
 
 class LieAlgebra:
@@ -72,53 +72,53 @@ class LieAlgebra:
             for k, c in out.items():
                 if not 0 <= k < dim:
                     raise ValueError("bracket output index %d out of range" % k)
-                v = sc(c)
-                if v.im != 0:
+                v = exact(c)
+                if isinstance(v, Scalar):
                     raise ValueError("structure constants must be real "
                                      "(realify complex algebras first)")
                 if v:
-                    row[k] = v
+                    row[k] = Scalar(v)
             if row:
                 table[(i, j)] = row
         self._table = table
         self.sigma = None
         if sigma is not None:
-            self.sigma = [[sc(x) for x in row] for row in sigma]
+            self.sigma = [[exact(x) for x in row] for row in sigma]
             if len(self.sigma) != dim or any(len(r) != dim for r in self.sigma):
                 raise ValueError("sigma must be a dim x dim matrix")
 
     # -- bracket --------------------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> List[Scalar]:
-        out = [Scalar(0)] * self.dim
+    def bracket_basis(self, i: int, j: int) -> List[Fraction]:
+        out = [Fraction(0)] * self.dim
         if i == j:
             return out
         sign = 1
         if i > j:
             i, j, sign = j, i, -1
         for k, c in self._table.get((i, j), {}).items():
-            out[k] = c * sign
+            out[k] = c.re * sign
         return out
 
-    def bracket(self, u: Sequence, v: Sequence) -> List[Scalar]:
-        u = [sc(x) for x in u]
-        v = [sc(x) for x in v]
-        out = [Scalar(0)] * self.dim
+    def bracket(self, u: Sequence, v: Sequence) -> List[Fraction]:
+        u = [exact(x) for x in u]
+        v = [exact(x) for x in v]
+        out = [Fraction(0)] * self.dim
         for (i, j), row in self._table.items():
             coef = u[i] * v[j] - u[j] * v[i]
             if coef:
                 for k, c in row.items():
-                    out[k] = out[k] + coef * c
+                    out[k] = out[k] + coef * c.re
         return out
 
-    def adjoint(self, v: Sequence) -> List[List[Scalar]]:
+    def adjoint(self, v: Sequence) -> List[List[Fraction]]:
         """Matrix of ad(v): w -> [v, w] in the stored basis (columns)."""
         cols = [self.bracket(v, self._e(j)) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
-    def _e(self, k: int) -> List[Scalar]:
-        v = [Scalar(0)] * self.dim
-        v[k] = Scalar(1)
+    def _e(self, k: int) -> List[Fraction]:
+        v = [Fraction(0)] * self.dim
+        v[k] = Fraction(1)
         return v
 
     # -- structural checks ------------------------------------------------
@@ -150,7 +150,7 @@ class LieAlgebra:
                         apply(j, cols[k][i]))]
                     if any(acc):
                         return JacobiReport(False, (i, j, k), [
-                            Scalar(Fraction(x, -s * s)) for x in acc])
+                            Fraction(x, -s * s) for x in acc])
         return JacobiReport(True)
 
     def derived_subalgebra(self) -> Subspace:
@@ -286,7 +286,7 @@ class LieAlgebra:
         while len(vectors) < self.dim + samples:
             v = [rng.choice(pool) for _ in range(self.dim)]
             if any(v):
-                vectors.append([sc(x) for x in v])
+                vectors.append(v)
         all_nilpotent = True
         saw_nonreal = False
         saw_nonimaginary = False
@@ -320,38 +320,29 @@ class LieAlgebra:
         original algebra.
         """
         n = self.dim
-        brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-
-        def put(i: int, j: int, k: int, c: Scalar):
-            if i == j or not c:
-                return
-            if i > j:
-                i, j, c = j, i, -c
-            brackets.setdefault((i, j), {})
-            brackets[(i, j)][k] = brackets[(i, j)].get(k, Scalar(0)) + c
-
+        brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
         for (i, j), row in self._table.items():
-            for k, c in row.items():
-                put(i, j, k, c)                    # [X_i, X_j] = c X_k
-                put(i, n + j, n + k, c)            # [X_i, iX_j] = c iX_k
-                put(n + i, j, n + k, c)            # [iX_i, X_j] = c iX_k
-                put(n + i, n + j, k, -c)           # [iX_i, iX_j] = -c X_k
-        sigma = [[Scalar(1 if (i == j and i < n) else (-1 if (i == j) else 0))
+            for k, entry in row.items():
+                c = entry.re
+                _put(brackets, i, j, k, c)            # [X_i, X_j] = c X_k
+                _put(brackets, i, n + j, n + k, c)    # [X_i, iX_j] = c iX_k
+                _put(brackets, n + i, j, n + k, c)    # [iX_i, X_j] = c iX_k
+                _put(brackets, n + i, n + j, k, -c)   # [iX_i, iX_j] = -c X_k
+        sigma = [[Fraction(1 if (i == j and i < n) else (-1 if (i == j) else 0))
                   for j in range(2 * n)] for i in range(2 * n)]
         labels = self.basis + ["i*%s" % b for b in self.basis]
-        out = LieAlgebra(2 * n, {k: dict(v) for k, v in brackets.items()},
-                         basis=labels, form="complex", sigma=sigma)
-        return out
+        return LieAlgebra(2 * n, brackets, basis=labels, form="complex",
+                          sigma=sigma)
 
-    def mult_i_matrix(self) -> List[List[Scalar]]:
+    def mult_i_matrix(self) -> List[List[Fraction]]:
         """Multiplication by i on a complex-form algebra (split-basis block map)."""
         if self.form != "complex":
             raise ValueError("mult_i is defined on complex-form algebras")
         m = self.dim // 2
-        out = [[Scalar(0)] * self.dim for _ in range(self.dim)]
+        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
         for k in range(m):
-            out[m + k][k] = Scalar(1)
-            out[k][m + k] = Scalar(-1)
+            out[m + k][k] = Fraction(1)
+            out[k][m + k] = Fraction(-1)
         return out
 
     @property
@@ -431,32 +422,32 @@ def realify_complex_brackets(cdim: int, brackets: Dict[Tuple[int, int], Dict[int
     constants, form "complex", and the split-basis convention.
     """
     n = cdim
-    out: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-
-    def put(i: int, j: int, k: int, c: Scalar):
-        if i == j or not c:
-            return
-        sign = Scalar(1)
-        if i > j:
-            i, j, sign = j, i, Scalar(-1)
-        row = out.setdefault((i, j), {})
-        row[k] = row.get(k, Scalar(0)) + sign * c
-
+    out: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     for (i, j), row in brackets.items():
         for k, raw in row.items():
             c = sc(raw)
-            a, b = Scalar(c.re), Scalar(c.im)
+            a, b = c.re, c.im
             # [Z_i, Z_j] = (a + ib) Z_k, extended C-bilinearly to the split basis
-            put(i, j, k, a)
-            put(i, j, n + k, b)
-            put(i, n + j, n + k, a)
-            put(i, n + j, k, -b)
-            put(n + i, j, n + k, a)
-            put(n + i, j, k, -b)
-            put(n + i, n + j, k, -a)
-            put(n + i, n + j, n + k, -b)
+            _put(out, i, j, k, a)
+            _put(out, i, j, n + k, b)
+            _put(out, i, n + j, n + k, a)
+            _put(out, i, n + j, k, -b)
+            _put(out, n + i, j, n + k, a)
+            _put(out, n + i, j, k, -b)
+            _put(out, n + i, n + j, k, -a)
+            _put(out, n + i, n + j, n + k, -b)
     labels = None
     if basis is not None:
         labels = list(basis) + ["i*%s" % b for b in basis]
-    return LieAlgebra(2 * n, {k: dict(v) for k, v in out.items()},
-                      basis=labels, form="complex")
+    return LieAlgebra(2 * n, out, basis=labels, form="complex")
+
+
+def _put(table: Dict[Tuple[int, int], Dict[int, Fraction]],
+         i: int, j: int, k: int, c: Fraction) -> None:
+    """Add c to the e_k coefficient of [e_i, e_j] in a table keyed i < j."""
+    if i == j or not c:
+        return
+    if i > j:
+        i, j, c = j, i, -c
+    row = table.setdefault((i, j), {})
+    row[k] = row.get(k, 0) + c

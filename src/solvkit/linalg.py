@@ -3,8 +3,9 @@
 Matrices are plain lists of lists; vectors are lists. Everything here is
 field-generic: it only needs +, -, *, / and truthiness on entries, which
 both fractions.Fraction and scalars.Scalar provide. No floats anywhere:
-the eliminations (rref, det) read int entries as Fraction, so that int
-input gives exact results, and refuse float entries.
+the eliminations (rref, det) and the polynomials (char_poly, min_poly)
+read their entries through scalars.exact, so that int input gives exact
+Fraction results and float entries are refused.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .polys import Poly
+from .scalars import Scalar, exact
 
 Vec = List
 Mat = List[List]
@@ -93,15 +95,9 @@ def mat_trace(a: Mat):
 # -- elimination -------------------------------------------------------------
 
 
-def _exact(x):
-    if isinstance(x, float):
-        raise TypeError("refusing float %r; use Fraction for exact input" % (x,))
-    return Fraction(x) if isinstance(x, int) else x
-
-
 def rref(rows: Sequence[Vec]) -> Tuple[Mat, List[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [[_exact(x) for x in r] for r in rows]
+    m = [[exact(x) for x in r] for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -182,7 +178,7 @@ def inverse(a: Mat) -> Mat:
 
 def det(a: Mat):
     n = len(a)
-    m = [[_exact(x) for x in row] for row in a]
+    m = [[exact(x) for x in row] for row in a]
     sign = 1
     acc = None
     for c in range(n):
@@ -204,19 +200,11 @@ def det(a: Mat):
 
 
 def _to_fraction_matrix(a: Mat) -> List[List[Fraction]]:
-    out = []
-    for row in a:
-        new = []
+    out = [[exact(x) for x in row] for row in a]
+    for row in out:
         for x in row:
-            if isinstance(x, Fraction):
-                new.append(x)
-            elif isinstance(x, int):
-                new.append(Fraction(x))
-            else:  # Scalar with zero imaginary part
-                if x.im != 0:
-                    raise ValueError("expected a real matrix entry, got %s" % (x,))
-                new.append(x.re)
-        out.append(new)
+            if isinstance(x, Scalar):
+                raise ValueError("expected a real matrix entry, got %s" % (x,))
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -25,7 +26,7 @@ from .cxstruct import AlmostComplexStructure, is_integrable
 from .errors import BoundTooLarge, NotCompatible, NotIntegrable
 from .liealg import LieAlgebra
 from .polys import descartes_positive_count
-from .scalars import Scalar, sc
+from .scalars import Scalar, exact
 
 
 class TwoForm(Cochain):
@@ -33,16 +34,15 @@ class TwoForm(Cochain):
 
     def __init__(self, dim: int, coeffs: Optional[Dict] = None):
         super().__init__(dim, 2, coeffs)
-        for val in self.coeffs.values():
-            if val.im != 0:
-                raise ValueError("TwoForm coefficients must be real")
+        if any(isinstance(v, Scalar) for v in self.coeffs.values()):
+            raise ValueError("TwoForm coefficients must be real")
 
-    def matrix(self) -> List[List[Scalar]]:
+    def matrix(self) -> List[List[Fraction]]:
         n = self.dim
         return [[self.coefficient(i, j) for j in range(n)] for i in range(n)]
 
 
-def _gram(omega: Cochain, j: AlmostComplexStructure) -> List[List[Scalar]]:
+def _gram(omega: Cochain, j: AlmostComplexStructure) -> List[List[Fraction]]:
     """G[i][k] = omega(e_i, J e_k), from J's columns taken once."""
     if omega.degree != 2:
         raise ValueError("a 2-form is required")
@@ -55,7 +55,7 @@ def _gram(omega: Cochain, j: AlmostComplexStructure) -> List[List[Scalar]]:
     for i in range(n):
         row = []
         for col in cols:
-            val = Scalar(0)
+            val = Fraction(0)
             for m, c in col:
                 val = val + c * omega.coefficient(i, m)
             row.append(val)
@@ -63,7 +63,7 @@ def _gram(omega: Cochain, j: AlmostComplexStructure) -> List[List[Scalar]]:
     return gram
 
 
-def _is_symmetric(m: List[List[Scalar]]) -> bool:
+def _is_symmetric(m: List[List[Fraction]]) -> bool:
     return all(m[i][k] == m[k][i]
                for i in range(len(m)) for k in range(i + 1, len(m)))
 
@@ -79,7 +79,7 @@ def j_compatible(omega: Cochain, j: AlmostComplexStructure) -> bool:
     return _is_symmetric(_gram(omega, j))
 
 
-def metric_from(omega: Cochain, j: AlmostComplexStructure) -> List[List[Scalar]]:
+def metric_from(omega: Cochain, j: AlmostComplexStructure) -> List[List[Fraction]]:
     """Gram matrix g(X_i, X_j) = omega(X_i, J X_j); requires compatibility."""
     gram = _gram(omega, j)
     if not _is_symmetric(gram):
@@ -94,13 +94,13 @@ def signature(gram: Sequence[Sequence[object]]) -> Tuple[int, int]:
     real roots, so Descartes' sign-variation count is not just a bound
     but the exact number of positive (resp. negative) eigenvalues.
     """
-    m = [[sc(x) for x in row] for row in gram]
+    m = [[exact(x) for x in row] for row in gram]
     n = len(m)
     for i in range(n):
         for k in range(n):
             if m[i][k] != m[k][i]:
                 raise ValueError("matrix is not symmetric")
-            if m[i][k].im != 0:
+            if isinstance(m[i][k], Scalar):
                 raise ValueError("matrix is not real")
     chi = linalg.char_poly(m)
     pos = descartes_positive_count(chi)
@@ -131,7 +131,7 @@ def classify(l: LieAlgebra, j: AlmostComplexStructure,
     gram = _gram(omega, j)
     if not _is_symmetric(gram):
         return ClassifyResult("incompatible")
-    if linalg.det(gram) == Scalar(0):
+    if linalg.det(gram) == 0:
         return ClassifyResult("degenerate")
     p, q = signature(gram)
     if p + q != l.dim:
@@ -162,13 +162,11 @@ def closed_compatible_space(l: LieAlgebra,
     grams = [_gram(f, j) for f in basis]
     # one closedness row per basis triple (its coefficient in each
     # d(e^a ^ e^b)), one compatibility row per pair (omega(., J.) symmetric)
-    rows = [[d.get(t, Scalar(0)) for d in d_basis]
+    rows = [[d.get(t, Fraction(0)) for d in d_basis]
             for t in itertools.combinations(range(n), 3)]
     rows += [[g[a][b] - g[b][a] for g in grams] for a, b in pairs]
     rows = [row for row in rows if any(row)]
-    kernel = linalg.nullspace(rows) if rows else [
-        [Scalar(1 if t == s else 0) for s in range(len(pairs))]
-        for t in range(len(pairs))]
+    kernel = linalg.nullspace(rows) if rows else linalg.identity(len(pairs))
     forms = []
     for vec in kernel:
         coeffs = {pairs[t]: vec[t] for t in range(len(pairs)) if vec[t]}
@@ -176,13 +174,13 @@ def closed_compatible_space(l: LieAlgebra,
     return forms
 
 
-def _pfaffian(m: List[List[Scalar]]) -> Scalar:
+def _pfaffian(m: List[List[Fraction]]) -> Fraction:
     n = len(m)
     if n % 2:
-        return Scalar(0)
+        return Fraction(0)
     if n == 0:
-        return Scalar(1)
-    total = Scalar(0)
+        return Fraction(1)
+    total = Fraction(0)
     sign = 1
     for jcol in range(1, n):
         a = m[0][jcol]
@@ -219,15 +217,15 @@ def sweep_invariant_forms(l: LieAlgebra, j: AlmostComplexStructure,
                             % (len(grid_vals), r))
     point = [0] * r
     while True:
-        acc = [[Scalar(0)] * n for _ in range(n)]
+        acc = linalg.zeros(n, n)
         for t in range(r):
             if point[t]:
-                c = Scalar(point[t])
+                c = point[t]
                 for a in range(n):
                     for b in range(n):
                         if mats[t][a][b]:
                             acc[a][b] = acc[a][b] + c * mats[t][a][b]
-        if _pfaffian(acc) != Scalar(0):
+        if _pfaffian(acc) != 0:
             return SweepResult(r, False, "pfaffian_grid",
                                witness=tuple(point), grid=grid_vals)
         pos = r - 1

@@ -17,10 +17,8 @@ from typing import Dict, List
 from . import catalog, cohomology, cxstruct, expforms, lattices, pkforms
 from .cxstruct import j_from_images
 from .errors import NotIntegrable
-from .liealg import LieAlgebra
 from .pkforms import TwoForm
 from .polys import Poly
-from .scalars import Scalar
 
 EXAMPLE6_MATRIX = [[0, 1, 0, 0],
                    [0, 0, 1, 0],
@@ -133,8 +131,7 @@ def check_example6() -> dict:
 
 def check_theorem9_pipeline() -> dict:
     detail = expforms.theorem9_checks()
-    fixture = TwoForm(6, {(0, 3): Scalar(2), (1, 2): Scalar(2),
-                          (4, 5): Scalar(2)})
+    fixture = TwoForm(6, {(0, 3): 2, (1, 2): 2, (4, 5): 2})
     restricted = expforms.restrict_identity(expforms.omega_coordinate())
     restriction_matches = (restricted.degree == 2
                            and dict(restricted.coeffs) == dict(fixture.coeffs))
@@ -297,7 +294,7 @@ def check_group_laws() -> dict:
 def check_example3() -> dict:
     entry = catalog.get("example3", l=1, k=1)
     integ = cxstruct.is_integrable(entry.algebra, entry.j)
-    omega = TwoForm(4, {(0, 1): Scalar(1), (2, 3): Scalar(1)})
+    omega = TwoForm(4, {(0, 1): 1, (2, 3): 1})
     verdict = pkforms.classify(entry.algebra, entry.j, omega)
     tag = entry.algebra.classify_type()
     detail = {
@@ -362,7 +359,7 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (Fraction, Scalar)):
+    if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)

@@ -1,9 +1,11 @@
-"""Exact Gaussian-rational scalars.
+"""Exact Gaussian-rational scalars, and the one rule for real values.
 
-A Scalar is re + im*i with both parts fractions.Fraction, so every
-arithmetic operation in the toolkit that must be exact stays exact.
-Floats are rejected on construction; go through Fraction explicitly if
-you really mean a binary float.
+A Scalar is re + im*i with both parts fractions.Fraction. The toolkit
+computes on real data in int / Fraction; exact(x) is the single place
+that decides whether a value is real, and only a genuinely complex value
+stays a Scalar (complex input, the coordinate forms of expforms). Floats
+are rejected; go through Fraction explicitly if you really mean a binary
+float.
 
 String form is "p/q" for real values and "p/q+r/s*i" in general, e.g.
 "-1/2", "3", "0+1*i", "1/2-2/3*i". parse_scalar accepts the same grammar.
@@ -159,7 +161,9 @@ def _format_rat(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def format_scalar(z: Scalar) -> str:
+def format_scalar(z: Union[Rat, Scalar]) -> str:
+    if not isinstance(z, Scalar):
+        return _format_rat(_as_fraction(z))
     if z.im == 0:
         return _format_rat(z.re)
     imag = _format_rat(abs(z.im)) + "*i"
@@ -212,6 +216,22 @@ def parse_scalar(text) -> Scalar:
             im = _parse_rat(im_part)
         return Scalar(_parse_rat(re_part) if re_part != "0" else 0, im)
     return Scalar(_parse_rat(s))
+
+
+def exact(x) -> Union[Fraction, Scalar]:
+    """int / Fraction / str / Scalar as a Fraction when the value is real.
+
+    Only a value with a nonzero imaginary part stays a Scalar, so callers
+    that need real data refuse exactly the values that are Scalars after
+    this. Floats are refused.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, str):
+        x = parse_scalar(x)
+    if isinstance(x, Scalar):
+        return x.re if x.im == 0 else x
+    return _as_fraction(x)
 
 
 def sc(x) -> Scalar:

@@ -164,6 +164,15 @@ def test_h1_holonomy_shape_errors(capsys, tmp_path, generators):
     assert not out and "input error" in err and "generators[" in err
 
 
+def test_h1_holonomy_refuses_non_real_entry(capsys, tmp_path):
+    path = dump_entry(tmp_path, "nonnilpotent3", with_j=False)
+    hol = tmp_path / "hol.json"
+    hol.write_text(json.dumps([[["1+1*i"]]]))
+    code, out, err = run(capsys, ["h1", path, "--holonomy", str(hol)])
+    assert code == 3 and not out
+    assert err == "input error: generators[0][0][0]: real entry required\n"
+
+
 def test_classify_form_kahler(capsys, tmp_path):
     path = dump_entry(tmp_path, "abelian")
     entry = get("abelian")
@@ -260,6 +269,25 @@ def test_lattice_build_rejects_bad_matrix(capsys, tmp_path):
     code, _, err = run(capsys, ["lattice", "build", "--kind", "nilpotent",
                                 "--matrix", str(bad)])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-integrable", "{bad}"],
+    ["h1", "{alg}", "--holonomy", "{bad}"],
+    ["classify-form", "{alg}", "--J", "{bad}", "--omega", "{omega}"],
+    ["classify-form", "{alg}", "--J", "{j}", "--omega", "{bad}"],
+    ["lattice", "build", "--kind", "nilpotent", "--matrix", "{bad}"],
+], ids=["document", "holonomy", "j-matrix", "two-form", "int-matrix"])
+def test_unreadable_input_files_exit_3(capsys, tmp_path, unreadable_files,
+                                      argv):
+    files = {"alg": dump_entry(tmp_path, "abelian"),
+             "j": str(tmp_path / "J.json"), "omega": str(tmp_path / "om.json")}
+    (tmp_path / "J.json").write_text(json.dumps(
+        jsonio.dump_algebra(get("abelian").algebra, get("abelian").j)["J"]))
+    (tmp_path / "om.json").write_text('[{"i": 1, "j": 2, "coeff": "1"}]')
+    for bad, message in unreadable_files:
+        code, out, err = run(capsys, [a.format(bad=bad, **files) for a in argv])
+        assert (code, out, err) == (3, "", "input error: %s\n" % message)
 
 
 def test_exact_commands_never_import_numpy(tmp_path):

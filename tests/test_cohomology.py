@@ -155,6 +155,13 @@ def test_holonomy_action_validation():
         HolonomyAction([[[1.0, 0.0], [0.0, 1.0]]])
 
 
+def test_holonomy_refuses_non_real_entries():
+    with pytest.raises(ValueError, match="holonomy entries must be real"):
+        HolonomyAction([[[Scalar(1, 1)]]])
+    with pytest.raises(ValueError, match="holonomy entries must be real"):
+        HolonomyAction([[["1+1*i"]]])
+
+
 def test_real_part_subspace():
     # rotation by 90 degrees: no real eigenvalues at all
     rot = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]

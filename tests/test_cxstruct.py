@@ -135,16 +135,23 @@ def _algebra_and_j(draw):
         l, j = SEMIDIRECT, standard_j4()
     else:
         l, j = catalog.get(name).algebra, catalog.get(name).j
-    n = l.dim
+    p = _fractional_p(draw, l.dim)
+    return (_transport(l, p) if draw(st.booleans()) else l), _conjugate(j, p)
+
+
+def _fractional_p(draw, n):
+    """An invertible L U with fractional entries drawn from _POOL."""
     low = [[1 if r == c else (draw(st.sampled_from(_POOL)) if r > c else 0)
             for c in range(n)] for r in range(n)]
     up = [[draw(st.sampled_from(_POOL[3:])) if r == c else
            (draw(st.sampled_from(_POOL)) if r < c else 0)
            for c in range(n)] for r in range(n)]
-    p = linalg.mat_mul(low, up)
-    moved = AlmostComplexStructure(
+    return linalg.mat_mul(low, up)
+
+
+def _conjugate(j, p):
+    return AlmostComplexStructure(
         linalg.mat_mul(linalg.mat_mul(linalg.inverse(p), j.matrix), p))
-    return (_transport(l, p) if draw(st.booleans()) else l), moved
 
 
 @settings(max_examples=30)
@@ -207,6 +214,51 @@ def test_j_from_subspace_rejects_bad_input():
         j_from_subspace(lc, bad)
     with pytest.raises(ValueError):
         j_from_subspace(entry.algebra, sub.basis)   # not a complexification
+
+
+def test_j_from_subspace_needs_real_parts_that_span():
+    # h = C X1 is i-invariant, and a conjugation swapping X1 and X2 makes
+    # h + sigma(h) everything, but no element of h has real part X2
+    swap = [[int(c == r ^ 1) for c in range(4)] for r in range(4)]
+    lc = LieAlgebra(4, {}, form="complex", sigma=swap)
+    h = linalg.Subspace(4, [[1, 0, 0, 0], [0, 0, 1, 0]])
+    with pytest.raises(NotTransverse, match="real parts of the subspace do not span"):
+        j_from_subspace(lc, h)
+
+
+def _j_from_subspace_reference(lc, space):
+    """J column by column: one solve of c R = e_k per k, then J e_k = c M."""
+    n = lc.dim // 2
+    b_re = [row[:n] for row in space.basis]
+    b_im = [row[n:] for row in space.basis]
+    cols = []
+    for k in range(n):
+        c = linalg.solve_unique(linalg.transpose(b_re),
+                                [Fraction(int(a == k)) for a in range(n)])
+        img = [Fraction(0)] * n
+        for coef, row in zip(c, b_im):
+            img = linalg.vec_add(img, linalg.vec_scale(coef, row))
+        cols.append(img)
+    return AlmostComplexStructure(linalg.transpose(cols))
+
+
+@st.composite
+def _integrable_pair(draw):
+    """An integrable catalog pair carried along by a fractional P."""
+    entry = catalog.get(draw(st.sampled_from([
+        "abelian", "hyperelliptic", "inoue-s0", "inoue-spm",
+        "primary-kodaira", "secondary-kodaira", "nilpotent3"])))
+    p = _fractional_p(draw, entry.algebra.dim)
+    return _transport(entry.algebra, p), _conjugate(entry.j, p)
+
+
+@settings(max_examples=30)
+@given(_integrable_pair())
+def test_j_from_subspace_matches_solve_route(pair):
+    l, j = pair
+    sub = subalgebra_from_j(l, j)
+    back = j_from_subspace(sub.ambient, sub.basis)
+    assert back == _j_from_subspace_reference(sub.ambient, sub.basis) == j
 
 
 def test_tautological_j_is_complex_linear():

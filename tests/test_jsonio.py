@@ -37,6 +37,23 @@ def test_load_document_errors(tmp_path):
         load_document(write(tmp_path, "list.json", [1, 2]))
 
 
+LOADERS = {
+    "document": load_document,
+    "j_matrix": lambda path: load_j_matrix(path, 4),
+    "holonomy": load_holonomy,
+    "two_form": lambda path: load_two_form(path, 4),
+    "int_matrix": jsonio.load_int_matrix,
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS.values(), ids=LOADERS.keys())
+def test_loaders_refuse_unreadable_files(unreadable_files, loader):
+    for path, message in unreadable_files:
+        with pytest.raises(SchemaError) as info:
+            loader(path)
+        assert str(info.value) == message
+
+
 def test_algebra_happy_path(tmp_path):
     l = load_algebra(write(tmp_path, "heis.json", HEIS_DOC))
     assert l.dim == 3

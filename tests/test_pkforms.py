@@ -81,6 +81,13 @@ def test_signature_basics():
         signature([[0, 1], [2, 0]])
 
 
+def test_signature_refuses_non_real_matrix():
+    with pytest.raises(ValueError, match="matrix is not real"):
+        signature([["1+1*i", 0], [0, 1]])
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        signature([[1, "i"], ["-i", 1]])
+
+
 def test_signature_congruence_invariant():
     """Sylvester: P^T G P has the same signature for invertible rational P."""
     rng = random.Random(53)
