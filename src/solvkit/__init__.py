@@ -7,7 +7,7 @@ from .scalars import Scalar, parse_scalar, format_scalar, sc
 from .polys import (Poly, poly_from_descending, squarefree_part, is_squarefree,
                     count_real_roots, all_roots_real, all_roots_pure_imaginary,
                     has_unit_modulus_root, factor_rational)
-from .liealg import LieAlgebra, JacobiReport, realify_complex_brackets, env_seed
+from .liealg import LieAlgebra, JacobiReport, realify_complex_brackets
 from .cxstruct import (AlmostComplexStructure, j_from_images, nijenhuis,
                        is_integrable, IntegrabilityReport, ComplexSubalgebra,
                        subalgebra_from_j, j_from_subspace,

@@ -413,43 +413,37 @@ def _numeric_invariants(tensor: np.ndarray, tol: float) -> Dict[str, object]:
             np.zeros((0, n))
 
     full = np.eye(n)
-    derived = bracket_span(full, full)
 
-    lcs_dims = [n]
-    cur = full
-    while lcs_dims[-1]:
-        nxt = bracket_span(full, cur)
-        lcs_dims.append(nxt.shape[0])
-        if nxt.shape[0] == cur.shape[0] and lcs_dims[-1] != 0:
-            break
-        cur = nxt
-
-    ds_dims = [n]
-    cur = full
-    while ds_dims[-1]:
-        nxt = bracket_span(cur, cur)
-        ds_dims.append(nxt.shape[0])
-        if nxt.shape[0] == cur.shape[0] and ds_dims[-1] != 0:
-            break
-        cur = nxt
+    def series_dims(step: Callable[[np.ndarray], np.ndarray]) -> Tuple[int, ...]:
+        dims = [n]
+        cur = full
+        while dims[-1]:
+            nxt = step(cur)
+            dims.append(nxt.shape[0])
+            if nxt.shape[0] == cur.shape[0]:
+                break
+            cur = nxt
+        return tuple(dims)
 
     # v central iff the slice tensor[:, v, :] vanishes
     stacked = tensor.transpose(1, 0, 2).reshape(n, n * n)
     center_dim = n - _numeric_span_dims(stacked.T, tol)
 
     return {
-        "derived_dim": int(derived.shape[0]),
+        "derived_dim": int(bracket_span(full, full).shape[0]),
         "center_dim": int(center_dim),
-        "lower_central_dims": tuple(int(d) for d in lcs_dims),
-        "derived_series_dims": tuple(int(d) for d in ds_dims),
+        "lower_central_dims": series_dims(lambda cur: bracket_span(full, cur)),
+        "derived_series_dims": series_dims(lambda cur: bracket_span(cur, cur)),
     }
 
 
 def brackets_from_group_law(entry: CatalogEntry, step: float = 1e-4,
-                            rank_tol: float = 1e-6,
-                            trials: int = 100,
-                            seed: Optional[int] = None) -> GroupLawReport:
-    """Differentiate the commutator map and compare basis-free invariants."""
+                            rank_tol: float = 1e-6) -> GroupLawReport:
+    """Differentiate the commutator map and compare basis-free invariants.
+
+    The associativity residual is the largest over 100 triples of points
+    drawn from random.Random(0), so it is the same on every run.
+    """
     import numpy as np
     if entry.group_law is None:
         raise NoGroupLaw("entry %r carries no group law" % entry.name)
@@ -481,9 +475,9 @@ def brackets_from_group_law(entry: CatalogEntry, step: float = 1e-4,
     expected = _exact_invariants(entry.algebra)
     got = _numeric_invariants(tensor, rank_tol)
 
-    rng = random.Random(seed if seed is not None else 0)
+    rng = random.Random(0)
     resid = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         pts = []
         for _ in range(3):
             vec = [rng.uniform(-1.0, 1.0) for _ in range(n)]

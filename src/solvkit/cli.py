@@ -72,7 +72,7 @@ def cmd_catalog(args) -> int:
     # crosscheck
     try:
         rep = catalog.brackets_from_group_law(entry, step=args.step,
-                                              rank_tol=args.rank_tol, seed=0)
+                                              rank_tol=args.rank_tol)
     except NoGroupLaw as e:
         sys.stderr.write("error: %s\n" % e)
         return USAGE_ERROR

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,13 +28,6 @@ from .errors import InternalCheckFailed, NotSolvable
 from .linalg import Subspace
 from .polys import all_roots_pure_imaginary, all_roots_real
 from .scalars import Scalar, exact, sc
-
-DEFAULT_SEED = 20240911
-
-
-def env_seed() -> int:
-    return int(os.environ.get("SOLVKIT_SEED", DEFAULT_SEED))
-
 
 BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
 
@@ -161,26 +152,22 @@ class LieAlgebra:
         vecs = [self.bracket(u, v) for u in a.basis for v in b.basis]
         return Subspace(self.dim, vecs)
 
-    def lower_central_series(self) -> List[Subspace]:
+    def _series(self, central: bool) -> List[Subspace]:
+        """g, then [g or last, last] until it reaches 0 or stops changing."""
         full = Subspace(self.dim, linalg.identity(self.dim))
         series = [full]
         while series[-1].dim:
-            nxt = self._bracket_spaces(full, series[-1])
-            if nxt == series[-1]:
-                series.append(nxt)
+            series.append(self._bracket_spaces(
+                full if central else series[-1], series[-1]))
+            if series[-1] == series[-2]:
                 break
-            series.append(nxt)
         return series
 
+    def lower_central_series(self) -> List[Subspace]:
+        return self._series(central=True)
+
     def derived_series(self) -> List[Subspace]:
-        series = [Subspace(self.dim, linalg.identity(self.dim))]
-        while series[-1].dim:
-            nxt = self._bracket_spaces(series[-1], series[-1])
-            if nxt == series[-1]:
-                series.append(nxt)
-                break
-            series.append(nxt)
-        return series
+        return self._series(central=False)
 
     def is_nilpotent(self) -> bool:
         return self.lower_central_series()[-1].dim == 0
@@ -266,49 +253,34 @@ class LieAlgebra:
 
     # -- eigenvalue-type classification -------------------------------------
 
-    def classify_type(self, samples: int = 25, seed: Optional[int] = None) -> str:
-        """One of nilpotent / completely_solvable / rigid / mixed / inconclusive.
+    def classify_type(self) -> str:
+        """One of nilpotent / completely_solvable / rigid / mixed.
 
-        Verdicts are sampled evidence: exact characteristic polynomials of
-        ad(v) for every basis vector plus deterministically seeded rational
-        combinations. Root reality and pure-imaginarity are decided exactly
-        (Sturm counts; substitution reducing the imaginary-axis test to a
-        real one). Requires a solvable real-form algebra.
+        Decided exactly from the n characteristic polynomials of ad(e_i).
+        Over C, Lie's theorem puts ad(g) of a solvable g in simultaneous
+        triangular form with diagonal weights lambda_k, each real-linear
+        on g. So "every lambda_k(e_i) is real" (or imaginary, or zero)
+        holds on the basis exactly when it holds on all of g, and any
+        sample set containing the basis gives the same answer. Each
+        polynomial is taken of A_i = s ad(e_i) from _integer_adjoints;
+        s > 0 scales every root without moving it off the real or the
+        imaginary axis. Root reality and pure-imaginarity are decided
+        exactly (Sturm counts; substitution reducing the imaginary-axis
+        test to a real one). Requires a solvable real-form algebra.
         """
         if self.form != "real":
             raise ValueError("type classification is defined for real forms")
-        if not self.is_solvable():
+        ads = self._integer_adjoints()[1]
+        if not _cartan_solvable(ads):
             raise NotSolvable("type classification requires a solvable algebra")
-        rng = random.Random(env_seed() if seed is None else seed)
-        pool = [Fraction(k) for k in (-2, -1, 0, 1, 2)] + [
-            Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
-        vectors: List[List] = [self._e(i) for i in range(self.dim)]
-        while len(vectors) < self.dim + samples:
-            v = [rng.choice(pool) for _ in range(self.dim)]
-            if any(v):
-                vectors.append(v)
-        all_nilpotent = True
-        saw_nonreal = False
-        saw_nonimaginary = False
-        for v in vectors:
-            p = linalg.char_poly(self.adjoint(v))
-            nilp = all(p[k] == 0 for k in range(p.degree))
-            if nilp:
-                continue
-            all_nilpotent = False
-            if not all_roots_real(p):
-                saw_nonreal = True
-            if not all_roots_pure_imaginary(p):
-                saw_nonimaginary = True
-        if all_nilpotent:
+        polys = [p for p in map(linalg.char_poly, ads)
+                 if any(p[k] for k in range(p.degree))]
+        if not polys:
             return "nilpotent"
-        if saw_nonreal and saw_nonimaginary:
+        nonreal = not all(map(all_roots_real, polys))
+        if nonreal and not all(map(all_roots_pure_imaginary, polys)):
             return "mixed"
-        if not saw_nonreal:
-            return "completely_solvable"
-        if not saw_nonimaginary:
-            return "rigid"
-        return "inconclusive"
+        return "rigid" if nonreal else "completely_solvable"
 
     # -- complexification ----------------------------------------------------
 

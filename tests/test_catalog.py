@@ -112,7 +112,7 @@ def test_group_law_eval_and_absence():
 def test_recovered_brackets_match():
     for name in LAW_NAMES:
         entry = get(name)
-        rep = brackets_from_group_law(entry, seed=0)
+        rep = brackets_from_group_law(entry)
         assert rep.invariants_match, name
         assert rep.assoc_residual <= 1e-9, name
         assert rep.invariants == rep.expected, name

@@ -1,4 +1,4 @@
-"""Lie algebra structure: brackets, series, nilradical, type sampling."""
+"""Lie algebra structure: brackets, series, nilradical, eigenvalue type."""
 
 import random
 from fractions import Fraction
@@ -12,6 +12,7 @@ from solvkit.errors import InternalCheckFailed, NotSolvable
 from solvkit.liealg import (JacobiReport, LieAlgebra, is_nilpotent_matrix,
                             realify_complex_brackets)
 from solvkit.linalg import Subspace
+from solvkit.polys import all_roots_pure_imaginary, all_roots_real
 from solvkit.scalars import Scalar
 
 
@@ -373,26 +374,139 @@ def test_is_nilpotent_matrix():
             [row[:-1] + [int(i == n - 1)] for i, row in enumerate(shift)]), n
 
 
+def _classify_type_reference(l, samples=25, seed=20240911):
+    """The sampled classify_type that the exact one replaced, as an oracle.
+
+    Characteristic polynomials of ad(v) for every basis vector plus
+    seeded rational combinations.
+    """
+    if l.form != "real":
+        raise ValueError("type classification is defined for real forms")
+    if not l.is_solvable():
+        raise NotSolvable("type classification requires a solvable algebra")
+    rng = random.Random(seed)
+    pool = [Fraction(k) for k in (-2, -1, 0, 1, 2)] + [
+        Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
+    vectors = [l._e(i) for i in range(l.dim)]
+    while len(vectors) < l.dim + samples:
+        v = [rng.choice(pool) for _ in range(l.dim)]
+        if any(v):
+            vectors.append(v)
+    all_nilpotent = True
+    saw_nonreal = False
+    saw_nonimaginary = False
+    for v in vectors:
+        p = linalg.char_poly(l.adjoint(v))
+        nilp = all(p[k] == 0 for k in range(p.degree))
+        if nilp:
+            continue
+        all_nilpotent = False
+        if not all_roots_real(p):
+            saw_nonreal = True
+        if not all_roots_pure_imaginary(p):
+            saw_nonimaginary = True
+    if all_nilpotent:
+        return "nilpotent"
+    if saw_nonreal and saw_nonimaginary:
+        return "mixed"
+    if not saw_nonreal:
+        return "completely_solvable"
+    if not saw_nonimaginary:
+        return "rigid"
+    return "inconclusive"
+
+
+CLASSIFY_TYPES = {
+    "abelian": "nilpotent",
+    "hyperelliptic": "rigid",
+    "inoue-s0": "mixed",
+    "primary-kodaira": "nilpotent",
+    "secondary-kodaira": "rigid",
+    "inoue-spm": "completely_solvable",
+    "example3": "rigid",
+}
+
+
 def test_classify_type_table():
-    expected = {
-        "abelian": "nilpotent",
-        "hyperelliptic": "rigid",
-        "inoue-s0": "mixed",
-        "primary-kodaira": "nilpotent",
-        "secondary-kodaira": "rigid",
-        "inoue-spm": "completely_solvable",
-        "example3": "rigid",
-    }
-    for name, tag in expected.items():
-        assert catalog.get(name).algebra.classify_type() == tag, name
+    for name, tag in CLASSIFY_TYPES.items():
+        l = catalog.get(name).algebra
+        assert l.classify_type() == tag, name
+        assert _classify_type_reference(l) == tag, name
 
 
-def test_classify_type_deterministic_seed():
-    l = catalog.get("inoue-s0").algebra
-    assert l.classify_type(seed=1) == l.classify_type(seed=1)
+def _rotation_blocks(speeds, size):
+    """size x size D: a rotation block [[0, -b], [b, 0]] per b, then zeros."""
+    d = [[0] * size for _ in range(size)]
+    for m, b in enumerate(speeds):
+        d[2 * m + 1][2 * m], d[2 * m][2 * m + 1] = b, -b
+    return d
+
+
+def _diagonal(entries):
+    return [[x if i == j else 0 for j in range(len(entries))]
+            for i, x in enumerate(entries)]
+
+
+def _two_derivations(d0, d1):
+    """R^2 x R^k with commuting D0, D1 acting through e_0 and e_1."""
+    k = len(d0)
+    return LieAlgebra(k + 2, {
+        (a, j + 2): {i + 2: d[i][j] for i in range(k) if d[i][j]}
+        for a, d in enumerate((d0, d1)) for j in range(k)})
+
+
+def _type_stream(rng, rounds):
+    """(algebra, tag) pairs of dim 3-5, each tag once per round by construction.
+
+    nilpotent: strictly upper D; rigid: rotation blocks; mixed: a real
+    scalar D0 beside a rotation-block D1 (the inoue-s0 shape);
+    completely solvable: a real diagonal D. Each algebra is then written
+    in a random basis, so no basis vector lies along a weight space.
+    """
+    nonzero = [1, -1, 2, H, T, Fraction(3, 4)]
+    for _ in range(rounds):
+        k, k_mixed = rng.randint(2, 4), rng.randint(2, 3)
+        speeds = [rng.choice(nonzero) for _ in range(rng.randint(1, 2))]
+        yield _semidirect([[rng.choice(_POOL) if i < j else 0
+                            for j in range(k)] for i in range(k)]), "nilpotent"
+        yield _semidirect(_rotation_blocks(speeds, 2 * len(speeds))), "rigid"
+        yield _two_derivations(
+            _diagonal([rng.choice(nonzero)] * k_mixed),
+            _rotation_blocks([rng.choice(nonzero)], k_mixed)), "mixed"
+        yield _semidirect(_diagonal(
+            [rng.choice(nonzero)] + [rng.choice(_POOL) for _ in range(k - 1)]
+        )), "completely_solvable"
+
+
+def _random_invertible(rng, n):
+    """L U as in _invertible, drawn from rng."""
+    low = [[1 if i == j else (rng.choice(_POOL) if i > j else 0)
+            for j in range(n)] for i in range(n)]
+    up = [[rng.choice(_POOL[3:]) if i == j else
+           (rng.choice(_POOL) if i < j else 0)
+           for j in range(n)] for i in range(n)]
+    return linalg.mat_mul(low, up)
+
+
+def test_classify_type_matches_sampled_reference_on_stream():
+    rng = random.Random(7)
+    seen = []
+    for base, tag in _type_stream(rng, rounds=6):
+        assert base.jacobi_check().ok and base.classify_type() == tag
+        l = _transport(base, _random_invertible(rng, base.dim))
+        assert l.classify_type() == tag
+        assert _classify_type_reference(l) == tag
+        seen.append(tag)
+    assert {t: seen.count(t) for t in seen} == dict.fromkeys(
+        CLASSIFY_TYPES.values(), 6)
+
+
+def test_classify_type_refusals():
     with pytest.raises(NotSolvable):
         LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2},
                        (1, 2): {1: 2}}).classify_type()
+    with pytest.raises(ValueError, match="real forms"):
+        heisenberg3().complexify().classify_type()
 
 
 def test_complexify():
