@@ -47,6 +47,16 @@ def _parse_param_value(text: str):
         return text
 
 
+def _nonzero_rational(text: str) -> Fraction:
+    try:
+        if Fraction(text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError("expected a nonzero rational, got %r"
+                                     % text)
+
+
 def _collect_params(pairs: Optional[List[str]]) -> dict:
     out = {}
     for pair in pairs or []:
@@ -173,18 +183,19 @@ def cmd_lattice(args) -> int:
             _print(out)
         return 0
     # build
-    matrix = jsonio.load_int_matrix(args.matrix)
+    size = 4 if args.kind == "nonnilpotent" else 2
+    matrix = jsonio.load_int_matrix(args.matrix, size)
     if args.kind == "nilpotent":
         spec = lattices.build_lattice_nilpotent(matrix)
     elif args.kind == "nonnilpotent":
-        b = jsonio.load_int_matrix(args.b) if args.b else None
+        b = jsonio.load_int_matrix(args.b, size) if args.b else None
         if b is None and args.k is None:
             raise SchemaError("nonnilpotent build needs --b or --k")
         spec = lattices.build_lattice_nonnilpotent(matrix, b=b, k=args.k)
     else:
         if args.k is None:
             raise SchemaError("nakamura build needs --k")
-        spec = lattices.nakamura_lattice(matrix, Fraction(args.eps_im), args.k)
+        spec = lattices.nakamura_lattice(matrix, args.eps_im, args.k)
     _print(jsonio.dump_lattice_spec(spec))
     return 0
 
@@ -265,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--matrix", required=True)
     build.add_argument("--b")
     build.add_argument("--k", type=int)
-    build.add_argument("--eps-im", default="1")
+    build.add_argument("--eps-im", type=_nonzero_rational, default="1")
     lat.set_defaults(func=cmd_lattice)
 
     pr = sub.add_parser("paper-report",

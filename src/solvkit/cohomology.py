@@ -266,11 +266,8 @@ def real_part_subspace(g: List[List[Fraction]]) -> Subspace:
         return Subspace(n, linalg.identity(n))
     out_vectors: List[List[Fraction]] = []
     for factor, _mult in factor_rational(m):
-        if factor.degree < 1:
-            continue
-        if not all_roots_real(factor):
-            continue
-        out_vectors.extend(linalg.nullspace(_poly_apply(factor, g)))
+        if all_roots_real(factor):
+            out_vectors.extend(linalg.nullspace(_poly_apply(factor, g)))
     return Subspace(n, out_vectors)
 
 

@@ -213,13 +213,13 @@ def load_two_form(path: str, dim: int) -> TwoForm:
         raise SchemaError("omega: %s" % e)
 
 
-def load_int_matrix(path: str) -> List[List[int]]:
-    """Read an integer matrix stored either bare or under a "matrix" key."""
+def load_int_matrix(path: str, size: int) -> List[List[int]]:
+    """Read a size x size integer matrix, bare or under a "matrix" key."""
     doc = _read_json(path)
     raw = doc.get("matrix") if isinstance(doc, dict) else doc
-    if not isinstance(raw, list) or \
-            any(not isinstance(row, list) for row in raw):
-        raise SchemaError("%s: expected a matrix (list of rows)" % path)
+    if not isinstance(raw, list) or len(raw) != size or \
+            any(not isinstance(row, list) or len(row) != size for row in raw):
+        raise SchemaError("%s: expected a %dx%d matrix" % (path, size, size))
     for row in raw:
         for x in row:
             if not isinstance(x, int) or isinstance(x, bool):

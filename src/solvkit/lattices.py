@@ -20,8 +20,8 @@ from . import linalg
 from .errors import (BoundTooLarge, DegenerateEigenvectors, NoNonRealEigenvalue,
                      NotReciprocal, NotSemisimple, NotSpecialLinear,
                      NotSquarefree, TraceTooSmall)
-from .polys import (Poly, count_real_roots, has_unit_modulus_root,
-                    is_squarefree, squarefree_part)
+from .polys import (Poly, all_roots_real, count_real_roots,
+                    has_unit_modulus_root, is_squarefree)
 
 RESIDUAL_TOL = 1e-9
 INDEPENDENCE_MARGIN = 1e-6
@@ -142,7 +142,7 @@ def build_lattice_nilpotent(a: Sequence[Sequence[int]],
     if _int_det(am) not in (1, -1):
         raise NotSpecialLinear("matrix is not in GL(2, Z)")
     cp = char_poly(am)
-    if count_real_roots(squarefree_part(cp)) == cp.degree:
+    if all_roots_real(cp):
         raise NoNonRealEigenvalue("all eigenvalues are real")
     tr = am[0][0] + am[1][1]
     det = _int_det(am)
@@ -203,7 +203,6 @@ def build_lattice_nonnilpotent(a: Sequence[Sequence[int]],
     cp = char_poly(am)
     if not cp.is_palindromic():
         raise NotReciprocal("characteristic polynomial is not palindromic")
-    report = classify_eigen(cp if is_squarefree(cp) else squarefree_part(cp))
     bm: Optional[IntMatrix] = None
     if b is not None:
         bm = _check_int_matrix(b, 4)
@@ -253,7 +252,7 @@ def build_lattice_nonnilpotent(a: Sequence[Sequence[int]],
         delta = complex((np.array(bm, dtype=complex) @ beta)[refb] / beta[refb])
         residuals.append(_residual_eig(bm, beta, delta))
         mu = cmath.log(delta)
-        b_real = classify_eigen(squarefree_part(char_poly(bm))).all_real
+        b_real = all_roots_real(char_poly(bm))
     else:
         assert k is not None
         mu = complex(0.0, k * cmath.pi)
@@ -268,7 +267,7 @@ def build_lattice_nonnilpotent(a: Sequence[Sequence[int]],
     if margin <= INDEPENDENCE_MARGIN:
         raise DegenerateEigenvectors(
             "generators not independent over R (margin %.3g)" % margin)
-    classification = "3a" if (report.all_real and b_real) else "3b"
+    classification = "3a" if (all_roots_real(cp) and b_real) else "3b"
     lam = cmath.log(gamma)
     return LatticeSpec("non_nilpotent", am, bm, k, delta_gens, [lam, mu],
                        classification, residual, margin, cp)

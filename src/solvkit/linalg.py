@@ -225,21 +225,17 @@ def char_poly(a: Mat) -> Poly:
 
 
 def min_poly(a: Mat) -> Poly:
-    """Monic minimal polynomial via the first linear dependence of powers."""
+    """Monic minimal polynomial: the first linear dependence of I, a, a^2, ...
+
+    The columns flat(a^0..a^n) have pivots 0..d-1 before the first free
+    column d, so the first kernel vector is (c_0, ..., c_{d-1}, 1, 0, ...).
+    """
     m = _to_fraction_matrix(a)
-    n = len(m)
-    power = identity(n)
-    flats: List[Vec] = []
-    for d in range(n + 1):
-        flat = [x for row in power for x in row]
-        cols = transpose(flats + [flat])
-        if flats and rank(cols) == len(flats):
-            sol = solve([list(r) for r in transpose(flats)], flat)
-            assert sol is not None
-            return Poly(list(sol) + [Fraction(-1)]) * Fraction(-1)
-        flats.append(flat)
-        power = mat_mul(power, m)
-    raise AssertionError("no dependence among matrix powers up to dimension")
+    powers = [identity(len(m))]
+    for _ in m:
+        powers.append(mat_mul(powers[-1], m))
+    flats = [[x for row in p for x in row] for p in powers]
+    return Poly(nullspace(transpose(flats))[0])
 
 
 # -- subspaces ---------------------------------------------------------------

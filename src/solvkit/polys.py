@@ -6,12 +6,18 @@ rest of the toolkit leans on: Sturm-sequence real-root counts, the
 all-roots-real and all-roots-pure-imaginary tests, unit-modulus root
 detection for the reciprocal polynomials coming from integer matrices,
 and factorization over Q (delegated to sympy, which is exact).
+
+gcd, squarefree part and root counts run on content-free int lists, in
+the primitive remainder sequences of Collins (J. ACM 14, 1967) and
+Brown-Traub (J. ACM 18, 1971): scaled only by |lc| and positive contents,
+each list is a positive multiple of its rational one, keeping Sturm signs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, List, Sequence
 
 
 class Poly:
@@ -158,77 +164,109 @@ def poly_from_descending(coeffs: Sequence) -> Poly:
     return Poly(list(reversed(list(coeffs))))
 
 
+def _primitive(a: List[int]) -> List[int]:
+    g = gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _ints(p: Poly) -> List[int]:
+    """p times a positive rational, as content-free integers."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _derivative(a: List[int]) -> List[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _rem(a: List[int], b: List[int]) -> List[int]:
+    """A positive multiple of a mod b, content-free."""
+    r, m = list(a), abs(b[-1])
+    while len(r) >= len(b):
+        f = r.pop() * m // b[-1]  # m * r - f * t^k * b drops the top term
+        k = len(r) + 1 - len(b)
+        r = [m * c for c in r]
+        for j, c in enumerate(b[:-1]):
+            r[k + j] -= f * c
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(r)
+
+
+def _gcd(a: List[int], b: List[int]) -> List[int]:
+    while b:
+        a, b = b, _rem(a, b)
+    return _primitive(a)
+
+
+def _squarefree(a: List[int]) -> List[int]:
+    """a / gcd(a, a'), an exact division in integers by Gauss's lemma."""
+    if len(a) <= 2:
+        return a
+    g, r = _gcd(a, _derivative(a)), list(a)
+    out = [0] * (len(a) - len(g) + 1)
+    for k in reversed(range(len(out))):
+        out[k] = r[k + len(g) - 1] // g[-1]
+        for j, c in enumerate(g):
+            r[k + j] -= out[k] * c
+    return out
+
+
+def _sturm(q: List[int]) -> List[List[int]]:
+    chain = [q, _derivative(q)]
+    while chain[-1]:
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
+    return [f for f in chain if f]
+
+
+def _value_at(a: List[int], x) -> int:
+    """d^deg(a) * a(n/d) for x = n/d, d > 0, an integer of the sign of a(x)."""
+    acc, dk = 0, 1
+    for c in reversed(a):
+        acc, dk = acc * x.numerator + c * dk, dk * x.denominator
+    return acc
+
+
+def _variations(values: Iterable) -> int:
+    signs = [x > 0 for x in values if x]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _count(chain: List[List[int]], a=None, b=None) -> int:
+    """Roots of squarefree chain[0] in (a, b]: V(a) - V(b), None = -+inf."""
+    at_a = ([f[-1] if len(f) % 2 else -f[-1] for f in chain] if a is None
+            else [_value_at(f, a) for f in chain])
+    at_b = [f[-1] if b is None else _value_at(f, b) for f in chain]
+    return _variations(at_a) - _variations(at_b)
+
+
+# -- gcd, squarefree part, Sturm counts ------------------------------------
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+    return Poly(_gcd(_ints(a), _ints(b))).monic()
 
 
 def squarefree_part(p: Poly) -> Poly:
     """p divided by gcd(p, p'); same root set, every root simple."""
-    if p.is_zero or p.degree == 0:
-        return p.monic() if not p.is_zero else p
-    g = poly_gcd(p, p.derivative())
-    return (p // g).monic()
+    return Poly(_squarefree(_ints(p))).monic()
 
 
 def is_squarefree(p: Poly) -> bool:
-    if p.is_zero:
-        return False
-    if p.degree == 0:
-        return True
-    return poly_gcd(p, p.derivative()).degree == 0
-
-
-# -- Sturm sequences ---------------------------------------------------------
+    a = _ints(p)
+    return bool(a) and len(_gcd(a, _derivative(a))) == 1
 
 
 def sturm_chain(p: Poly) -> list:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero:
-        chain.pop()
-    return chain
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _variations(signs: Iterable[int]) -> int:
-    seq = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
-
-
-def _sign_at_inf(p: Poly, positive: bool) -> int:
-    if p.is_zero:
-        return 0
-    s = _sign(p.leading())
-    if not positive and p.degree % 2 == 1:
-        s = -s
-    return s
+    """p, p', -rem(p, p'), ..., each up to a positive factor."""
+    return [Poly(f) for f in _sturm(_ints(p))]
 
 
 def count_real_roots(p: Poly) -> int:
     """Number of distinct real roots of p (whole real line)."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    q = squarefree_part(p)
-    if q.degree <= 0:
-        return 0
-    chain = sturm_chain(q)
-    v_neg = _variations(_sign_at_inf(f, positive=False) for f in chain)
-    v_pos = _variations(_sign_at_inf(f, positive=True) for f in chain)
-    return v_neg - v_pos
-
-
-def _count_roots_open(q: Poly, a, b) -> int:
-    # q squarefree with q(a) != 0 != q(b); counts roots in the open (a, b)
-    chain = sturm_chain(q)
-    va = _variations(_sign(f.eval_fraction(a)) for f in chain)
-    vb = _variations(_sign(f.eval_fraction(b)) for f in chain)
-    return va - vb
+    return _count(_sturm(_squarefree(_ints(p))))
 
 
 def count_real_roots_in(p: Poly, a, b) -> int:
@@ -236,34 +274,14 @@ def count_real_roots_in(p: Poly, a, b) -> int:
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError("empty interval")
-    q = squarefree_part(p)
-    if q.degree <= 0:
-        return 0
-    count = 0
-    for end in ({a, b} if a != b else {a}):
-        if q.eval_fraction(end) == 0:
-            count += 1
-            q = q // Poly([-end, 1])
-    if a == b or q.degree <= 0:
-        return count
-    if q.eval_fraction(a) == 0 or q.eval_fraction(b) == 0:
-        raise AssertionError("endpoint root survived division")
-    return count + _count_roots_open(q, a, b)
+    q = _squarefree(_ints(p))
+    return _count(_sturm(q), a, b) + (bool(q) and _value_at(q, a) == 0)
 
 
 def count_negative_real_roots(p: Poly) -> int:
     """Distinct real roots in (-inf, 0). Zero is not counted."""
-    q = squarefree_part(p)
-    if q.degree <= 0:
-        return 0
-    if q.eval_fraction(0) == 0:
-        q = q // Poly([0, 1])
-        if q.degree <= 0:
-            return 0
-    chain = sturm_chain(q)
-    v_neg = _variations(_sign_at_inf(f, positive=False) for f in chain)
-    v0 = _variations(_sign(f.eval_fraction(Fraction(0))) for f in chain)
-    return v_neg - v0
+    q = _squarefree(_ints(p))
+    return _count(_sturm(q), None, 0) - (q[:1] == [0])
 
 
 # -- root-location predicates -------------------------------------------------
@@ -271,32 +289,23 @@ def count_negative_real_roots(p: Poly) -> int:
 
 def all_roots_real(p: Poly) -> bool:
     """True iff every complex root of p is real (multiplicity ignored)."""
-    q = squarefree_part(p)
-    if q.degree <= 0:
-        return True
-    return count_real_roots(q) == q.degree
+    q = _squarefree(_ints(p))
+    return len(q) <= 1 or _count(_sturm(q)) == len(q) - 1
 
 
 def all_roots_pure_imaginary(p: Poly) -> bool:
     """True iff every root of p lies on the imaginary axis (0 included).
 
     With real coefficients the distinct nonzero roots pair up as +-i*s,
-    so the squarefree part must be t^e * g(t^2) with g having all roots
-    real and negative. Both conditions are decided exactly.
+    so the squarefree part without its root 0 must be g(t^2) with g having
+    all roots real and negative. That g is squarefree too (g(0) != 0), so
+    deg(g) negative roots decide it.
     """
-    q = squarefree_part(p)
-    if q.degree <= 0:
-        return True
-    if q.eval_fraction(0) == 0:
-        q = q // Poly([0, 1])
-    if q.degree == 0:
-        return True
-    if any(q[k] != 0 for k in range(1, q.degree + 1, 2)):
-        return False
-    g = Poly([q[2 * k] for k in range(q.degree // 2 + 1)])
-    if count_real_roots(g) != g.degree:
-        return False
-    return count_negative_real_roots(g) == g.degree
+    q = _squarefree(_ints(p))
+    q = q[1:] if q[:1] == [0] else q
+    g = q[::2]
+    return not any(q[1::2]) and (
+        len(g) <= 1 or _count(_sturm(g), None, 0) == len(g) - 1)
 
 
 def descartes_positive_count(p: Poly) -> int:
@@ -305,7 +314,7 @@ def descartes_positive_count(p: Poly) -> int:
     Equals the number of positive roots (with multiplicity) whenever all
     roots are real, which is the only way the toolkit uses it.
     """
-    return _variations(_sign(c) for c in reversed(p.coeffs))
+    return _variations(reversed(p.coeffs))
 
 
 # -- unit-modulus roots -------------------------------------------------------
@@ -325,38 +334,25 @@ def has_unit_modulus_root(p: Poly) -> bool:
 
     Any unit-modulus root of a real polynomial is shared with its
     reciprocal, so the test reduces along gcd(p, p*) to self-reciprocal
-    polynomials, where degree <= 2 is handled directly and palindromic
-    quartics via the c = (t + 1/t)/2 substitution.
+    polynomials. Those without a root at +-1 are palindromic of even
+    degree: degree 2 is decided by its discriminant, palindromic quartics
+    via the c = (t + 1/t)/2 substitution.
     """
-    q = squarefree_part(p)
-    if q.degree <= 0:
+    q = _squarefree(_ints(p))
+    q = q[1:] if q[:1] == [0] else q  # the root 0 is off the circle
+    if q[::-1] not in (q, [-c for c in q]):
+        q = _gcd(q, q[::-1])  # the roots closed under 1/z: self-reciprocal
+    if len(q) <= 1:
         return False
-    rec = q.reciprocal()
-    if q.monic() != rec.monic() and q.monic() != (-rec).monic():
-        g = poly_gcd(q, rec)
-        if g.degree <= 0:
-            return False
-        return has_unit_modulus_root(g)
-    # self-reciprocal (up to sign) from here on
-    if q.eval_fraction(1) == 0 or q.eval_fraction(-1) == 0:
+    # anti-palindromic and odd palindromic q vanish at 1 or -1
+    if sum(q) == 0 or _value_at(q, -1) == 0:
         return True
-    if q.degree == 1:
-        return False  # root is rational and not +-1
-    if q.degree == 2:
-        disc = q[1] * q[1] - 4 * q[2] * q[0]
-        if disc < 0:
-            return q[0] / q[2] == 1  # conjugate pair with |z|^2 = q0/q2
-        return False  # real roots of modulus one are +-1, tested above
-    if q.degree == 3:
-        # odd self-reciprocal has a root at -1 or +1, already handled
-        return False
-    if q.degree == 4 and q.is_palindromic():
-        m = q.monic()
-        reduced = palindromic_quartic_reduction(m[3], m[2])
-        return count_real_roots_in(reduced, -1, 1) > 0
-    if q.degree == 4:
-        # anti-palindromic quartic: t^4 + pt^3 - pt - 1 has roots +-1
-        return False
+    if len(q) == 3:
+        return q[1] * q[1] < 4 * q[2] * q[0]  # a conjugate pair, |z| = 1
+    if len(q) == 5:
+        # q[4] * palindromic_quartic_reduction(q[3] / q[4], q[2] / q[4]),
+        # squarefree as q is and, as q(+-1) != 0, nonzero at c = +-1
+        return _count(_sturm([q[2] - 2 * q[4], 2 * q[3], 4 * q[4]]), -1, 1) > 0
     raise ValueError("unit-modulus test implemented for degree <= 4 only")
 
 

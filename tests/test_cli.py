@@ -271,6 +271,49 @@ def test_lattice_build_rejects_bad_matrix(capsys, tmp_path):
     assert code == 3
 
 
+BUILD_MATRICES = {
+    "shear": [[1, 1], [0, 1]],
+    "minus_one": [[-1, 0], [0, -1]],
+    "nak": [[2, 1], [1, 1]],
+    "e6": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, 1, -3, 1]],
+}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--kind", "nilpotent", "--matrix", "{shear}"], 3,
+     "input error: all eigenvalues are real\n"),
+    (["--kind", "nilpotent", "--matrix", "{minus_one}"], 3,
+     "input error: all eigenvalues are real\n"),
+    (["--kind", "nilpotent", "--matrix", "{e6}"], 3,
+     "input error: {e6}: expected a 2x2 matrix\n"),
+    (["--kind", "nonnilpotent", "--matrix", "{shear}", "--k", "1"], 3,
+     "input error: {shear}: expected a 4x4 matrix\n"),
+    (["--kind", "nonnilpotent", "--matrix", "{e6}", "--b", "{shear}"], 3,
+     "input error: {shear}: expected a 4x4 matrix\n"),
+    (["--kind", "nakamura", "--matrix", "{nak}", "--k", "1", "--eps-im", "0"],
+     2, "argument --eps-im: expected a nonzero rational, got '0'\n"),
+    (["--kind", "nakamura", "--matrix", "{nak}", "--k", "1",
+      "--eps-im", "abc"], 2,
+     "argument --eps-im: expected a nonzero rational, got 'abc'\n"),
+    (["--kind", "nakamura", "--matrix", "{nak}", "--k", "1",
+      "--eps-im", "1/0"], 2,
+     "argument --eps-im: expected a nonzero rational, got '1/0'\n"),
+], ids=["double-eigenvalue", "minus-identity", "matrix-size", "matrix-size-4",
+        "b-size", "eps-im-zero", "eps-im-text", "eps-im-division"])
+def test_lattice_build_input_errors(capsys, tmp_path, argv, code, message):
+    files = {}
+    for name, m in BUILD_MATRICES.items():
+        files[name] = str(tmp_path / ("%s.json" % name))
+        (tmp_path / ("%s.json" % name)).write_text(json.dumps(m))
+    try:
+        got = main(["lattice", "build"] + [a.format(**files) for a in argv])
+    except SystemExit as e:  # argparse refuses a bad option value
+        got = e.code
+    out = capsys.readouterr()
+    assert (got, out.out) == (code, "")
+    assert out.err.endswith(message.format(**files))
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-integrable", "{bad}"],
     ["h1", "{alg}", "--holonomy", "{bad}"],

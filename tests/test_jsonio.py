@@ -42,7 +42,7 @@ LOADERS = {
     "j_matrix": lambda path: load_j_matrix(path, 4),
     "holonomy": load_holonomy,
     "two_form": lambda path: load_two_form(path, 4),
-    "int_matrix": jsonio.load_int_matrix,
+    "int_matrix": lambda path: jsonio.load_int_matrix(path, 2),
 }
 
 

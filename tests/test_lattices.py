@@ -83,6 +83,10 @@ def test_build_nilpotent_guards():
         build_lattice_nilpotent([[2, 0], [0, 1]])
     with pytest.raises(NoNonRealEigenvalue):
         build_lattice_nilpotent([[2, 1], [1, 1]])
+    # a double real eigenvalue: one distinct real root of a quadratic
+    for a in ([[1, 1], [0, 1]], [[-1, 0], [0, -1]]):
+        with pytest.raises(NoNonRealEigenvalue):
+            build_lattice_nilpotent(a)
 
 
 def test_build_nonnilpotent_example6():

@@ -147,6 +147,48 @@ def test_min_poly():
     assert linalg.min_poly(linalg.identity(4)) == Poly([-1, 1])
 
 
+def _min_poly_reference(a):
+    """The first dependence of the powers, found one rank test at a time."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    power = linalg.identity(n)
+    flats = []
+    for d in range(n + 1):
+        flat = [x for row in power for x in row]
+        cols = linalg.transpose(flats + [flat])
+        if flats and linalg.rank(cols) == len(flats):
+            sol = linalg.solve([list(r) for r in linalg.transpose(flats)], flat)
+            assert sol is not None
+            return Poly(list(sol) + [Fraction(-1)]) * Fraction(-1)
+        flats.append(flat)
+        power = linalg.mat_mul(power, m)
+    raise AssertionError("no dependence among matrix powers up to dimension")
+
+
+def test_min_poly_matches_reference():
+    """Random matrices and derogatory ones (conjugated block diagonals)."""
+    rng = random.Random(12)
+    for trial in range(120):
+        n = rng.randint(1, 5)
+        if trial % 2:
+            a = _rand_matrix(rng, n, n)
+        else:
+            # repeated eigenvalues in a random basis: 2x2 Jordan blocks or
+            # scalar blocks, so the minimal polynomial is a proper divisor
+            d = [[Fraction(0)] * n for _ in range(n)]
+            lams = [rng.randint(-2, 2) for _ in range(2)]
+            for i in range(n):
+                d[i][i] = Fraction(lams[i % 2])
+                if i + 2 < n and rng.random() < 0.5:
+                    d[i][i + 2] = Fraction(1)
+            p = [[Fraction(rng.randint(-2, 2) + (i == j) * 3)
+                  for j in range(n)] for i in range(n)]
+            if linalg.det(p) == 0:
+                continue
+            a = linalg.mat_mul(linalg.mat_mul(p, d), linalg.inverse(p))
+        assert linalg.min_poly(a) == _min_poly_reference(a)
+
+
 def test_subspace_basics():
     s = Subspace(3, [[Fraction(1), Fraction(0), Fraction(1)],
                      [Fraction(2), Fraction(0), Fraction(2)]])

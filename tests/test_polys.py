@@ -2,15 +2,19 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from solvkit.polys import (Poly, all_roots_pure_imaginary, all_roots_real,
                            count_negative_real_roots, count_real_roots,
                            count_real_roots_in, descartes_positive_count,
                            factor_rational, has_unit_modulus_root,
                            is_squarefree, palindromic_quartic_reduction,
-                           poly_from_descending, poly_gcd, squarefree_part)
+                           poly_from_descending, poly_gcd, squarefree_part,
+                           sturm_chain)
 
 
 def test_basic_shape():
@@ -164,3 +168,207 @@ def test_factor_rational_scales_leading_into_monic():
     p = Poly([Fraction(1, 2), 1]) * 2          # 1 + 2t
     factors = factor_rational(p)
     assert factors == [(Poly([Fraction(1, 2), 1]), 1)]
+
+
+# -- the Fraction route, kept as the oracle of the integer one ---------------
+
+
+def _fraction_poly_gcd_reference(a, b):
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic() if not a.is_zero else a
+
+
+def _fraction_squarefree_part_reference(p):
+    if p.is_zero or p.degree == 0:
+        return p.monic() if not p.is_zero else p
+    g = _fraction_poly_gcd_reference(p, p.derivative())
+    return (p // g).monic()
+
+
+def _fraction_sturm_chain_reference(p):
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        chain.append(-(chain[-2] % chain[-1]))
+    if chain[-1].is_zero:
+        chain.pop()
+    return chain
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _variations(signs):
+    seq = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
+
+
+def _sign_at_inf(p, positive):
+    if p.is_zero:
+        return 0
+    s = _sign(p.leading())
+    if not positive and p.degree % 2 == 1:
+        s = -s
+    return s
+
+
+def _fraction_count_real_roots_reference(p):
+    q = _fraction_squarefree_part_reference(p)
+    if q.degree <= 0:
+        return 0
+    chain = _fraction_sturm_chain_reference(q)
+    v_neg = _variations(_sign_at_inf(f, positive=False) for f in chain)
+    v_pos = _variations(_sign_at_inf(f, positive=True) for f in chain)
+    return v_neg - v_pos
+
+
+def _count_roots_open(q, a, b):
+    chain = _fraction_sturm_chain_reference(q)
+    va = _variations(_sign(f.eval_fraction(a)) for f in chain)
+    vb = _variations(_sign(f.eval_fraction(b)) for f in chain)
+    return va - vb
+
+
+def _fraction_count_real_roots_in_reference(p, a, b):
+    a, b = Fraction(a), Fraction(b)
+    q = _fraction_squarefree_part_reference(p)
+    if q.degree <= 0:
+        return 0
+    count = 0
+    for end in ({a, b} if a != b else {a}):
+        if q.eval_fraction(end) == 0:
+            count += 1
+            q = q // Poly([-end, 1])
+    if a == b or q.degree <= 0:
+        return count
+    return count + _count_roots_open(q, a, b)
+
+
+def _fraction_count_negative_real_roots_reference(p):
+    q = _fraction_squarefree_part_reference(p)
+    if q.degree <= 0:
+        return 0
+    if q.eval_fraction(0) == 0:
+        q = q // Poly([0, 1])
+        if q.degree <= 0:
+            return 0
+    chain = _fraction_sturm_chain_reference(q)
+    v_neg = _variations(_sign_at_inf(f, positive=False) for f in chain)
+    v0 = _variations(_sign(f.eval_fraction(Fraction(0))) for f in chain)
+    return v_neg - v0
+
+
+def _fraction_has_unit_modulus_root_reference(p):
+    q = _fraction_squarefree_part_reference(p)
+    if q.degree <= 0:
+        return False
+    rec = q.reciprocal()
+    if q.monic() != rec.monic() and q.monic() != (-rec).monic():
+        g = _fraction_poly_gcd_reference(q, rec)
+        if g.degree <= 0:
+            return False
+        return _fraction_has_unit_modulus_root_reference(g)
+    if q.eval_fraction(1) == 0 or q.eval_fraction(-1) == 0:
+        return True
+    if q.degree == 1:
+        return False
+    if q.degree == 2:
+        disc = q[1] * q[1] - 4 * q[2] * q[0]
+        if disc < 0:
+            return q[0] / q[2] == 1
+        return False
+    if q.degree == 3:
+        return False
+    if q.degree == 4 and q.is_palindromic():
+        m = q.monic()
+        reduced = palindromic_quartic_reduction(m[3], m[2])
+        return _fraction_count_real_roots_in_reference(reduced, -1, 1) > 0
+    if q.degree == 4:
+        return False
+    raise ValueError("unit-modulus test implemented for degree <= 4 only")
+
+
+def _fraction_all_roots_pure_imaginary_reference(p):
+    q = _fraction_squarefree_part_reference(p)
+    if q.degree <= 0:
+        return True
+    if q.eval_fraction(0) == 0:
+        q = q // Poly([0, 1])
+    if q.degree == 0:
+        return True
+    if any(q[k] != 0 for k in range(1, q.degree + 1, 2)):
+        return False
+    g = Poly([q[2 * k] for k in range(q.degree // 2 + 1)])
+    if _fraction_count_real_roots_reference(g) != g.degree:
+        return False
+    return _fraction_count_negative_real_roots_reference(g) == g.degree
+
+
+def _outcome(f, p):
+    try:
+        return f(p)
+    except ValueError as e:
+        return str(e)
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+NONZERO = FRACTIONS.filter(bool)
+# (kind, c, d, e, times in p, times in r) for the factors of the pool below
+FACTORS = st.tuples(st.integers(0, 8), FRACTIONS, FRACTIONS, NONZERO,
+                    st.integers(1, 2), st.integers(0, 2))
+
+
+@st.composite
+def polys_and_ends(draw):
+    """(p, r, a, b): p and r of degree <= 8 built from one factor pool.
+
+    The pool holds t - c for c in {0, 1, -1, a, b} or any small fraction,
+    t^2 + c, random quadratics (irreducible, unit-circle or split) and
+    palindromic quartics, each up to twice in p and r, times a nonzero,
+    possibly negative or fractional, leading coefficient. The shared pool
+    gives p and r common factors.
+    """
+    a, b = sorted(draw(st.tuples(FRACTIONS, FRACTIONS)))
+    p, r = Poly([draw(NONZERO)]), Poly([draw(NONZERO)])
+    for kind, c, d, e, in_p, in_r in draw(st.lists(FACTORS, min_size=1,
+                                                   max_size=4)):
+        f = (Poly([-[0, 1, -1, a, b, c][kind], 1]) if kind <= 5
+             else [Poly([c, 0, 1]), Poly([c, d, e]),
+                   Poly([1, c, d, c, 1])][kind - 6])
+        p = prod([f] * min(in_p, (8 - p.degree) // f.degree), start=p)
+        r = prod([f] * min(in_r, (8 - r.degree) // f.degree), start=r)
+    return p, r, a, b
+
+
+@given(polys_and_ends())
+@example((Poly([-1, 0, 1]) * Poly([-1, 0, 1]), Poly([1, 1]), -1, 1))
+@example((Poly([0, 0, 4, 0, 1]), Poly([0]), 0, 0))
+@example((Poly([1, -1, 3, -1, 1]), Poly([1, 0, 1]), Fraction(-1, 2), 2))
+def test_integer_route_matches_fraction_reference(case):
+    p, r, a, b = case
+    assert poly_gcd(p, r) == _fraction_poly_gcd_reference(p, r)
+    assert poly_gcd(p, p.derivative()) == \
+        _fraction_poly_gcd_reference(p, p.derivative())
+    assert squarefree_part(p) == _fraction_squarefree_part_reference(p)
+    assert is_squarefree(p) == (
+        _fraction_poly_gcd_reference(p, p.derivative()).degree == 0)
+    assert count_real_roots(p) == _fraction_count_real_roots_reference(p)
+    assert count_real_roots_in(p, a, b) == \
+        _fraction_count_real_roots_in_reference(p, a, b)
+    assert count_negative_real_roots(p) == \
+        _fraction_count_negative_real_roots_reference(p)
+    q = _fraction_squarefree_part_reference(p)
+    assert all_roots_real(p) == (
+        _fraction_count_real_roots_reference(q) == max(q.degree, 0))
+    assert all_roots_pure_imaginary(p) == \
+        _fraction_all_roots_pure_imaginary_reference(p)
+    assert _outcome(has_unit_modulus_root, p) == \
+        _outcome(_fraction_has_unit_modulus_root_reference, p)
+    # the integer chain is the Fraction one up to positive factors
+    chain = sturm_chain(p)
+    reference = _fraction_sturm_chain_reference(p)
+    assert len(chain) == len(reference)
+    for f, g in zip(chain, reference):
+        ratio = f.leading() / g.leading()
+        assert ratio > 0 and f == g * ratio
