@@ -18,6 +18,7 @@ true maximal subspace.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -148,7 +149,12 @@ def two_form_terms(dim: int, terms: Dict[Tuple[int, int], object]) -> Cochain:
 
 
 def ce_d(l: LieAlgebra, c: Cochain) -> Cochain:
-    """Chevalley-Eilenberg differential, exact, degrees 0 through 2."""
+    """Chevalley-Eilenberg differential, exact, degrees 0 through 2.
+
+    (dc)(e_a, e_b, rest) = -c([e_a, e_b], rest) summed over the stored
+    brackets a < b and the increasing tuples rest; sort_sign places each
+    term on its increasing key, so only the table's pairs are visited.
+    """
     if c.dim != l.dim:
         raise ValueError("cochain does not live on this algebra")
     if c.degree > 2:
@@ -157,34 +163,15 @@ def ce_d(l: LieAlgebra, c: Cochain) -> Cochain:
     if c.degree == 0:
         return Cochain(n, 1)
     out: Dict[Tuple[int, ...], object] = {}
-    if c.degree == 1:
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = l.bracket_basis(i, j)
-                val = Fraction(0)
-                for m, coef in enumerate(w):
-                    if coef:
-                        val = val - coef * c.coefficient(m)
-                if val:
-                    out[(i, j)] = val
-        return Cochain(n, 2, out)
-    # degree 2: d(w)(x,y,z) = -w([x,y],z) + w([x,z],y) - w([y,z],x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                val = Fraction(0)
-                for m, coef in enumerate(l.bracket_basis(i, j)):
-                    if coef:
-                        val = val - coef * c.coefficient(m, k)
-                for m, coef in enumerate(l.bracket_basis(i, k)):
-                    if coef:
-                        val = val + coef * c.coefficient(m, j)
-                for m, coef in enumerate(l.bracket_basis(j, k)):
-                    if coef:
-                        val = val - coef * c.coefficient(m, i)
-                if val:
-                    out[(i, j, k)] = val
-    return Cochain(n, 3, out)
+    for (a, b), row in l._table.items():
+        for rest in combinations(range(n), c.degree - 1):
+            placed = sort_sign((a, b) + rest)
+            if placed is not None:
+                key, sign = placed
+                val = -sign * sum(coef.re * c.coefficient(m, *rest)
+                                  for m, coef in row.items())
+                out[key] = out.get(key, 0) + val
+    return Cochain(n, c.degree + 1, dict(sorted(out.items())))
 
 
 def h1_lie(l: LieAlgebra) -> int:

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InternalCheckFailed, NotIntegrable, NotTransverse
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, ad_combination
 from .linalg import Subspace
 from .scalars import Scalar, exact
 
@@ -99,14 +99,12 @@ def is_integrable(l: LieAlgebra, j: AlmostComplexStructure) -> IntegrabilityRepo
     if j.dim != l.dim:
         raise ValueError("J dimension does not match the algebra")
     n = l.dim
-    s, ads = l._integer_adjoints()
+    s, ads = l._integer_adjoints
     t = math.lcm(*(x.denominator for row in j.matrix for x in row))
     jt = [[int(x * t) for x in row] for row in j.matrix]
     jt_cols = list(zip(*jt))
     for a in range(n):
-        # A(Jt e_a), one matrix per a
-        ad_ja = [[sum(c * m[r][q] for c, m in zip(jt_cols[a], ads) if c)
-                  for q in range(n)] for r in range(n)]
+        ad_ja = ad_combination(ads, jt_cols[a])      # A(Jt e_a)
         for b in range(a + 1, n):
             inner = [x + y for x, y in zip(
                 (row[b] for row in ad_ja), linalg.mat_vec(ads[a], jt_cols[b]))]

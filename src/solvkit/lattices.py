@@ -302,7 +302,10 @@ def nakamura_lattice(a2: Sequence[Sequence[int]], eps_im: Fraction,
 
     avec = real_eigvec(gamma_inv)
     bvec = real_eigvec(gamma)
-    eps = complex(0.0, float(eps_im))
+    try:
+        eps = complex(0.0, float(eps_im))
+    except OverflowError as exc:
+        raise DegenerateEigenvectors("eps_im is too large for a float") from exc
     a4 = [[am[0][0], am[0][1], 0, 0],
           [am[1][0], am[1][1], 0, 0],
           [0, 0, am[0][0], am[0][1]],

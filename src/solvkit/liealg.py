@@ -17,6 +17,7 @@ the split basis has real constants).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -123,30 +124,27 @@ class LieAlgebra:
         ints and only a reported defect is divided back.
         """
         n = self.dim
-        s, ads = self._integer_adjoints()
+        s, ads = self._integer_adjoints
         cols = [list(zip(*a)) for a in ads]      # cols[i][j] = A_i e_j
-
-        def apply(k: int, v: Sequence[int]) -> List[int]:
-            out = [0] * n
-            for m, x in enumerate(v):
-                if x:
-                    out = [o + x * c for o, c in zip(out, cols[k][m])]
-            return out
-
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     acc = [a + b + c for a, b, c in zip(
-                        apply(k, cols[i][j]), apply(i, cols[j][k]),
-                        apply(j, cols[k][i]))]
+                        linalg.mat_vec(ads[k], cols[i][j]),
+                        linalg.mat_vec(ads[i], cols[j][k]),
+                        linalg.mat_vec(ads[j], cols[k][i]))]
                     if any(acc):
                         return JacobiReport(False, (i, j, k), [
                             Fraction(x, -s * s) for x in acc])
         return JacobiReport(True)
 
     def derived_subalgebra(self) -> Subspace:
-        vecs = [self.bracket_basis(i, j) for (i, j) in self._table]
-        return Subspace(self.dim, vecs)
+        return self._derived
+
+    @functools.cached_property
+    def _derived(self) -> Subspace:
+        """[g,g], the span of the table's rows (a Subspace never changes)."""
+        return Subspace(self.dim, [self.bracket_basis(i, j) for (i, j) in self._table])
 
     def _bracket_spaces(self, a: Subspace, b: Subspace) -> Subspace:
         vecs = [self.bracket(u, v) for u in a.basis for v in b.basis]
@@ -173,21 +171,19 @@ class LieAlgebra:
         return self.lower_central_series()[-1].dim == 0
 
     def is_solvable(self) -> bool:
-        return _cartan_solvable(self._integer_adjoints()[1])
+        return self._solvable
+
+    @functools.cached_property
+    def _solvable(self) -> bool:
+        return _cartan_solvable(self._integer_adjoints[1])
 
     def center(self) -> Subspace:
-        # v central iff sum_i v_i [e_i, e_j] = 0 for every j
-        rows = []
-        for j in range(self.dim):
-            for k in range(self.dim):
-                rows.append([self.bracket_basis(i, j)[k] for i in range(self.dim)])
-        return Subspace(self.dim, linalg.nullspace(rows))
+        """The kernel of v -> sum_i v_i A_i, the v with [v, g] = 0."""
+        flat = [[x for row in a for x in row] for a in self._integer_adjoints[1]]
+        return Subspace(self.dim, linalg.nullspace([list(r) for r in zip(*flat)]))
 
     def unimodular_check(self) -> bool:
-        for i in range(self.dim):
-            if linalg.mat_trace(self.adjoint(self._e(i))) != 0:
-                return False
-        return True
+        return not any(map(linalg.mat_trace, self._integer_adjoints[1]))
 
     # -- nilradical --------------------------------------------------------
 
@@ -205,21 +201,25 @@ class LieAlgebra:
         run on int matrices. The result is validated post hoc.
         """
         n = self.dim
-        ads = self._integer_adjoints()[1]
-        if not _cartan_solvable(ads):
+        ads = self._integer_adjoints[1]
+        if not self.is_solvable():
             raise NotSolvable("nilradical computation requires a solvable algebra")
         # tr(M ad(e_i)) is the dot product of M and ad(e_i)^T, both flattened
         flat_t = [[a[k][j] for j in range(n) for k in range(n)] for a in ads]
         rows = [[sum(map(operator.mul, m, t)) for t in flat_t]
                 for m in _unital_closure(ads)]
         space = Subspace(n, linalg.nullspace(rows))
-        self._validate_nilradical(space, ads)
+        self._validate_nilradical(space)
         return space
 
+    @functools.cached_property
     def _integer_adjoints(self) -> Tuple[int, List[List[List[int]]]]:
         """(s, [s ad(e_i)]) for s the lcm of the constants' denominators.
 
-        Column j of s ad(e_i) is s [e_i, e_j].
+        Column j of s ad(e_i) is s [e_i, e_j]. Built once per algebra (the
+        table never changes after construction) and read, never written, by
+        every structural query: Jacobi, Cartan, center, nilradical, type and
+        the Nijenhuis scan.
         """
         n = self.dim
         scale = math.lcm(*(c.re.denominator for row in self._table.values()
@@ -231,10 +231,9 @@ class LieAlgebra:
                 ads[j][k][i] = -ads[i][k][j]
         return scale, ads
 
-    def _validate_nilradical(self, space: Subspace,
-                             ads: List[List[List[int]]]) -> None:
+    def _validate_nilradical(self, space: Subspace) -> None:
         # the ideal test comes first: once [g,g] is inside, it cannot fail
-        n = self.dim
+        ads = self._integer_adjoints[1]
         scaled = []
         for v in space.basis:
             d = math.lcm(*(x.denominator for x in v))
@@ -242,13 +241,10 @@ class LieAlgebra:
         if not all(space.contains(linalg.mat_vec(a, w))
                    for a in ads for w in scaled):
             raise InternalCheckFailed("nilradical is not an ideal")
-        # [g,g] is spanned by the columns of the ad(e_i)
-        if not all(space.contains(list(col)) for a in ads for col in zip(*a)):
+        if not self.derived_subalgebra() <= space:
             raise InternalCheckFailed("nilradical misses the derived subalgebra")
         for w in scaled:
-            ad_w = [[sum(c * a[r][s] for c, a in zip(w, ads)) for s in range(n)]
-                    for r in range(n)]
-            if not is_nilpotent_matrix(ad_w):
+            if not is_nilpotent_matrix(ad_combination(ads, w)):
                 raise InternalCheckFailed("nilradical element with non-nilpotent ad")
 
     # -- eigenvalue-type classification -------------------------------------
@@ -270,10 +266,9 @@ class LieAlgebra:
         """
         if self.form != "real":
             raise ValueError("type classification is defined for real forms")
-        ads = self._integer_adjoints()[1]
-        if not _cartan_solvable(ads):
+        if not self.is_solvable():
             raise NotSolvable("type classification requires a solvable algebra")
-        polys = [p for p in map(linalg.char_poly, ads)
+        polys = [p for p in map(linalg.char_poly, self._integer_adjoints[1])
                  if any(p[k] for k in range(p.degree))]
         if not polys:
             return "nilpotent"
@@ -325,6 +320,13 @@ class LieAlgebra:
 
     def __repr__(self):
         return "LieAlgebra(dim=%d, form=%r)" % (self.dim, self.form)
+
+
+def ad_combination(ads: List[List[List[int]]], u: Sequence[int]) -> List[List[int]]:
+    """sum_i u_i A_i: the dense matrix of s ad(u) for A_i = s ad(e_i)."""
+    n = len(ads)
+    return [[sum(c * a[r][q] for c, a in zip(u, ads) if c) for q in range(n)]
+            for r in range(n)]
 
 
 def is_nilpotent_matrix(m: List[List]) -> bool:

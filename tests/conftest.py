@@ -5,7 +5,12 @@ default profile with no example database and no deadline. A test's own
 @settings still override these field by field.
 """
 
+import collections
+import functools
 import json
+import pathlib
+import sys
+import types
 
 import pytest
 from hypothesis import settings
@@ -28,3 +33,49 @@ def unreadable_files(tmp_path):
     return [(missing, "cannot read %s: [Errno 2] No such file or directory: "
                       "'%s'" % (missing, missing)),
             (str(bad), "%s is not valid JSON: %s" % (bad, decode_error))]
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def perfbench():
+    """The benchmark's oracle, batch and tracer modules, read-only.
+
+    Each is executed from its source, so no bytecode cache is written
+    under perfbench/ and sys.path is untouched; `oracle` is in sys.modules
+    only while batch's `import oracle` runs.
+    """
+    loaded = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("oracle", "batch", "tracer"):
+            path = PERFBENCH / ("%s.py" % name)
+            module = types.ModuleType(name)
+            module.__file__ = str(path)
+            mp.setitem(sys.modules, name, module)
+            exec(compile(path.read_text(), str(path), "exec"), vars(module))
+            loaded[name] = module
+    return types.SimpleNamespace(**loaded)
+
+
+@pytest.fixture
+def structural_builds(monkeypatch):
+    """Counter of integer-adjoint builds and Cartan tests during a test."""
+    from solvkit import liealg
+    calls = collections.Counter()
+    cartan = liealg._cartan_solvable
+    build = vars(liealg.LieAlgebra)["_integer_adjoints"].func
+
+    def counted_cartan(ads):
+        calls["cartan"] += 1
+        return cartan(ads)
+
+    def counted_build(self):
+        calls["adjoints"] += 1
+        return build(self)
+
+    prop = functools.cached_property(counted_build)
+    prop.__set_name__(liealg.LieAlgebra, "_integer_adjoints")
+    monkeypatch.setattr(liealg, "_cartan_solvable", counted_cartan)
+    monkeypatch.setattr(liealg.LieAlgebra, "_integer_adjoints", prop)
+    return calls

@@ -132,6 +132,46 @@ def test_verify_integrable_needs_j(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("bad_j", [
+    None,
+    [["0", "-1", "0", "0"], ["1", "0"], ["0"] * 4, ["0"] * 4],
+    [["1" if r == c else "0" for c in range(4)] for r in range(4)],
+], ids=["null", "ragged", "j-squared-not-minus-one"])
+def test_a_command_validates_only_the_fields_it_reads(capsys, tmp_path, bad_j):
+    good = dump_entry(tmp_path, "inoue-s0")
+    doc = json.loads(open(good).read())
+    doc["J"] = bad_j
+    bad = tmp_path / "bad-j.json"
+    bad.write_text(json.dumps(doc))
+    # h1 never reads "J": the same answer as with a valid one
+    got = run(capsys, ["h1", str(bad)])
+    assert got[0] == 0 and got == run(capsys, ["h1", good])
+    code, out, err = run(capsys, ["verify-integrable", str(bad)])
+    assert (code, out) == (3, "")
+    assert err.startswith("input error: J: ")
+
+
+@pytest.mark.parametrize("command, builds", [
+    ("h1", {"adjoints": 1, "cartan": 1}),
+    ("verify-integrable", {"adjoints": 1}),
+    ("classify-form", {"adjoints": 1}),
+])
+def test_one_request_builds_the_integer_adjoints_once(
+        capsys, tmp_path, structural_builds, command, builds):
+    # the Jacobi check at load time and the command's own scans share them
+    path = dump_entry(tmp_path, "hyperelliptic")
+    argv = [command, path]
+    if command == "classify-form":
+        entry = get("hyperelliptic")
+        jfile, om = tmp_path / "J.json", tmp_path / "omega.json"
+        jfile.write_text(json.dumps(jsonio.dump_algebra(entry.algebra,
+                                                        entry.j)["J"]))
+        om.write_text(json.dumps([{"i": 1, "j": 2, "coeff": "1"}]))
+        argv += ["--J", str(jfile), "--omega", str(om)]
+    assert run(capsys, argv)[0] == 0
+    assert structural_builds == builds
+
+
 def test_h1_plain(capsys, tmp_path):
     path = dump_entry(tmp_path, "nilpotent3", with_j=False)
     code, doc, _ = run_json(capsys, ["h1", path])
@@ -298,8 +338,12 @@ BUILD_MATRICES = {
     (["--kind", "nakamura", "--matrix", "{nak}", "--k", "1",
       "--eps-im", "1/0"], 2,
      "argument --eps-im: expected a nonzero rational, got '1/0'\n"),
+    # a valid rational past the float range: refused, not an OverflowError
+    (["--kind", "nakamura", "--matrix", "{nak}", "--k", "1",
+      "--eps-im", "1e400"], 3, "input error: eps_im is too large for a float\n"),
 ], ids=["double-eigenvalue", "minus-identity", "matrix-size", "matrix-size-4",
-        "b-size", "eps-im-zero", "eps-im-text", "eps-im-division"])
+        "b-size", "eps-im-zero", "eps-im-text", "eps-im-division",
+        "eps-im-overflow"])
 def test_lattice_build_input_errors(capsys, tmp_path, argv, code, message):
     files = {}
     for name, m in BUILD_MATRICES.items():

@@ -128,6 +128,82 @@ def test_d_on_two_forms_random():
                 assert lhs == rhs
 
 
+def _ce_d_reference(l, c):
+    """The dense triple loop that ce_d replaced: bracket_basis per pair."""
+    n = l.dim
+    if c.degree == 0:
+        return Cochain(n, 1)
+    out = {}
+    if c.degree == 1:
+        for i in range(n):
+            for j in range(i + 1, n):
+                w = l.bracket_basis(i, j)
+                val = Fraction(0)
+                for m, coef in enumerate(w):
+                    if coef:
+                        val = val - coef * c.coefficient(m)
+                if val:
+                    out[(i, j)] = val
+        return Cochain(n, 2, out)
+    # degree 2: d(w)(x,y,z) = -w([x,y],z) + w([x,z],y) - w([y,z],x)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                val = Fraction(0)
+                for m, coef in enumerate(l.bracket_basis(i, j)):
+                    if coef:
+                        val = val - coef * c.coefficient(m, k)
+                for m, coef in enumerate(l.bracket_basis(i, k)):
+                    if coef:
+                        val = val + coef * c.coefficient(m, j)
+                for m, coef in enumerate(l.bracket_basis(j, k)):
+                    if coef:
+                        val = val - coef * c.coefficient(m, i)
+                if val:
+                    out[(i, j, k)] = val
+    return Cochain(n, 3, out)
+
+
+_VALUES = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Scalar(1, 2)]
+
+
+def _random_table_algebras(rng, count):
+    """Tables of dim 2..6 with fractional constants; Jacobi not enforced."""
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        yield LieAlgebra(n, {
+            (i, j): {k: rng.choice(_VALUES[:5]) for k in rng.sample(range(n), 2)}
+            for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4})
+
+
+def _cochains(rng, n):
+    """A 0-cochain, the basis 1-forms, and random 1- and 2-cochains whose
+    coefficients are sometimes non-real."""
+    yield Cochain(n, 0, {(): 3})
+    for i in range(n):
+        yield one_form(n, i)
+    for degree in (1, 2):
+        for _ in range(3):
+            yield Cochain(n, degree, {
+                key: rng.choice(_VALUES)
+                for key in itertools.combinations(range(n), degree)
+                if rng.random() < 0.6})
+
+
+def test_ce_d_matches_dense_reference():
+    rng = random.Random(71)
+    algebras = [catalog.get(name).algebra for name in catalog.list_names()]
+    algebras += list(_random_table_algebras(rng, 200))
+    count = 0
+    for l in algebras:
+        for c in _cochains(rng, l.dim):
+            got, want = ce_d(l, c), _ce_d_reference(l, c)
+            assert (got.degree, list(got.coeffs.items())) == \
+                (want.degree, list(want.coeffs.items())), (l._table, c.coeffs)
+            count += 1
+    assert count > 2000
+
+
 def test_h1_lie_frozen_table():
     expected = {
         "abelian": 4, "hyperelliptic": 2, "inoue-s0": 1,
@@ -245,6 +321,22 @@ def test_winkelmann_table_never_imports_sympy():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+def _fresh(l):
+    """The same table in a new LieAlgebra, with nothing built yet."""
+    return LieAlgebra(l.dim, {ij: {k: c.re for k, c in row.items()}
+                              for ij, row in l._table.items()}, form=l.form)
+
+
+def test_winkelmann_h1_builds_each_structural_fact_once(structural_builds):
+    for name in catalog.list_names():
+        l = _fresh(catalog.get(name).algebra)
+        structural_builds.clear()
+        winkelmann_h1(l, HolonomyAction([]))
+        assert structural_builds == {"adjoints": 1, "cartan": 1}, name
+        # h1_lie, quotient_dim and the nilradical check share one [g,g]
+        assert l.derived_subalgebra() is l.derived_subalgebra()
 
 
 def test_quotient_dim():

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and the exact
-layers import no source of randomness or environment.
+"""No module of the package imports a name it never uses, the exact
+layers import no source of randomness or environment, and every name the
+benchmark's tracer patches still exists.
 
 A stdlib-ast check, since no linter is assumed: every name bound by a
 module-level import in src/solvkit/*.py must be read somewhere in that
@@ -7,9 +8,12 @@ module. __init__.py is skipped because its imports are the re-exports.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
+
+from solvkit import catalog, report
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "solvkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -67,3 +71,26 @@ def test_the_check_sees_a_nested_import():
 def test_exact_layers_neither_sample_nor_read_the_environment(name):
     source = (SRC / ("%s.py" % name)).read_text()
     assert imported_modules(source) & {"random", "os"} == set()
+
+
+def test_every_name_the_tracer_patches_exists(perfbench):
+    """perfbench/tracer.py wraps functions and methods by name and reads
+    bracket constants through .re/.im; a rename or a changed table type
+    would otherwise surface only as a failing `perfbench/run.py --trace 1`.
+    """
+    tracer = perfbench.tracer
+    for layer, names in tracer.TRACED.items():
+        module = importlib.import_module("solvkit." + layer)
+        for name in names:
+            if "." in name:
+                cls, method = name.split(".")
+                assert method in vars(getattr(module, cls)), name
+            else:
+                assert callable(getattr(module, name, None)), (layer, name)
+    for name in tracer.REPORT_CHECKS:
+        assert callable(getattr(report, name, None)), name
+    for name in catalog.list_names():
+        alg = catalog.get(name).algebra
+        assert all(hasattr(c, "re") and hasattr(c, "im")
+                   for row in alg._table.values() for c in row.values()), name
+        assert tracer._algebra_key(alg)[:2] == (alg.dim, alg.form)

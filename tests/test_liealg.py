@@ -363,7 +363,49 @@ def test_validate_nilradical_rejects_each_wrong_answer():
     ]
     for l, space, message in cases:
         with pytest.raises(InternalCheckFailed, match=message):
-            l._validate_nilradical(space, l._integer_adjoints()[1])
+            l._validate_nilradical(space)
+
+
+def _center_reference(l):
+    """The bracket_basis route that center replaced."""
+    rows = []
+    for j in range(l.dim):
+        for k in range(l.dim):
+            rows.append([l.bracket_basis(i, j)[k] for i in range(l.dim)])
+    return Subspace(l.dim, linalg.nullspace(rows))
+
+
+def _unimodular_reference(l):
+    """The adjoint route that unimodular_check replaced."""
+    return all(linalg.mat_trace(l.adjoint(l._e(i))) == 0 for i in range(l.dim))
+
+
+def _random_tables(seed, count):
+    """Seeded tables of dim 2..6, Jacobi not enforced; every other one has
+    [e_i, e_j] in span(e_k : k > j), so it is nilpotent and unimodular."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(2, 6)
+        table = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                outs = range(j + 1, n) if t % 2 else range(n)
+                if outs and rng.random() < 0.5:
+                    table[(i, j)] = {k: rng.choice(_POOL[3:]) for k in
+                                     rng.sample(outs, min(2, len(outs)))}
+        yield LieAlgebra(n, table)
+
+
+def test_center_and_unimodular_match_bracket_routes():
+    algebras = [catalog.get(name).algebra for name in catalog.list_names()]
+    algebras += list(_random_tables(13, 200))
+    seen = set()
+    for l in algebras:
+        center, unimodular = l.center(), l.unimodular_check()
+        assert center == _center_reference(l)
+        assert unimodular == _unimodular_reference(l)
+        seen.add((0 < center.dim < l.dim, unimodular))
+    assert seen == {(a, b) for a in (False, True) for b in (False, True)}
 
 
 def test_is_nilpotent_matrix():

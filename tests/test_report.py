@@ -2,7 +2,7 @@
 
 import json
 
-from solvkit import report
+from solvkit import catalog, report
 
 CORE_CHECKS = ("check_theorem4_catalog", "check_winkelmann_table",
                "check_example6", "check_theorem9_pipeline",
@@ -31,3 +31,27 @@ def test_run_all_makes_two_core_passes(monkeypatch):
     assert verdicts[9]["detail"]["bytes"] == \
         len(json.dumps(verdicts[:9], allow_nan=False))
     assert sorted(seconds) == sorted(v["check_id"] for v in verdicts)
+
+
+def test_c10_fresh_pass_shares_no_algebra_with_the_first(monkeypatch):
+    # per-algebra caches cannot carry a result from one pass into the other
+    built = {"first": [], "fresh": []}
+    phase = ["first"]
+    real_get, real_determinism = catalog.get, report.check_determinism
+
+    def recording_get(name, **params):
+        entry = real_get(name, **params)
+        built[phase[0]].append(entry.algebra)
+        return entry
+
+    def determinism(core):
+        phase[0] = "fresh"
+        return real_determinism(core)
+
+    monkeypatch.setattr(catalog, "get", recording_get)
+    monkeypatch.setattr(report, "check_determinism", determinism)
+    verdicts = report.run_all({})
+    assert verdicts[9]["status"] == "pass"
+    assert len(built["first"]) == len(built["fresh"]) > 0
+    fresh = {id(a) for a in built["fresh"]}      # all held, so ids are unique
+    assert not any(id(a) in fresh for a in built["first"])
