@@ -222,7 +222,7 @@ def _require(cond: bool, msg: str) -> None:
 def _frac(value, name: str) -> Fraction:
     try:
         return Fraction(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ParamOutOfRange("%s must be rational, got %r" % (name, value))
 
 

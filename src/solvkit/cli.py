@@ -43,7 +43,7 @@ def _parse_param_value(text: str):
         pass
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         return text
 
 

@@ -259,15 +259,11 @@ def real_part_subspace(g: List[List[Fraction]]) -> Subspace:
 
 
 def _poly_apply(p: Poly, g: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(g)
-    acc = linalg.zeros(n, n)
-    power = linalg.identity(n)
-    for c in p.coeffs:
-        if c:
-            acc = [[x + c * y for x, y in zip(ra, rp)]
-                   for ra, rp in zip(acc, power)]
-        power = linalg.mat_mul(power, g)
-    return acc
+    """p(g) = sum_k c_k g^k."""
+    powers = [linalg.identity(len(g))]
+    while len(powers) < len(p.coeffs):
+        powers.append(linalg.mat_mul(powers[-1], g))
+    return linalg.mat_comb(p.coeffs, powers)
 
 
 def quotient_dim(l: LieAlgebra) -> int:

@@ -19,13 +19,18 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InternalCheckFailed, NotIntegrable, NotTransverse
-from .liealg import LieAlgebra, ad_combination
+from .liealg import LieAlgebra
 from .linalg import Subspace
 from .scalars import Scalar, exact
 
 
 class AlmostComplexStructure:
-    """An exact matrix J with J^2 = -I on an even-dimensional real algebra."""
+    """An exact matrix J with J^2 = -I on an even-dimensional real algebra.
+
+    scaled is (t, t J) for t the lcm of J's denominators, an int matrix
+    built once: J^2 = -I is checked as (t J)^2 = -t^2 I in ints, and the
+    Nijenhuis scan reads the same pair.
+    """
 
     def __init__(self, matrix: Sequence[Sequence[object]]):
         self.matrix = [[exact(x) for x in row] for row in matrix]
@@ -36,10 +41,12 @@ class AlmostComplexStructure:
             raise ValueError("J must be square")
         if any(isinstance(x, Scalar) for row in self.matrix for x in row):
             raise ValueError("J must have real entries")
-        minus_eye = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
-        if not linalg.mat_eq(linalg.mat_mul(self.matrix, self.matrix),
-                             minus_eye):
+        t = math.lcm(*(x.denominator for row in self.matrix for x in row))
+        jt = [[int(x * t) for x in row] for row in self.matrix]
+        minus_t2 = [[-t * t if i == j else 0 for j in range(n)] for i in range(n)]
+        if linalg.mat_mul(jt, jt) != minus_t2:
             raise ValueError("J^2 is not -I")
+        self.scaled: Tuple[int, List[List[int]]] = (t, jt)
 
     @property
     def dim(self) -> int:
@@ -92,19 +99,18 @@ class IntegrabilityReport:
 def is_integrable(l: LieAlgebra, j: AlmostComplexStructure) -> IntegrabilityReport:
     """First basis pair a < b with N(e_a, e_b) != 0, scanned in ints.
 
-    With A_i = s ad(e_i) from _integer_adjoints, Jt = t J for t the lcm of
-    J's denominators and A(v) = sum v_i A_i, s t^2 N(e_a, e_b) is
+    With A_i = s ad(e_i) from _integer_adjoints, (t, Jt = t J) from
+    j.scaled and A(v) = sum v_i A_i, s t^2 N(e_a, e_b) is
     A(Jt e_a) Jt e_b - Jt (A(Jt e_a) e_b + A_a Jt e_b) - t^2 A_a e_b.
     """
     if j.dim != l.dim:
         raise ValueError("J dimension does not match the algebra")
     n = l.dim
     s, ads = l._integer_adjoints
-    t = math.lcm(*(x.denominator for row in j.matrix for x in row))
-    jt = [[int(x * t) for x in row] for row in j.matrix]
+    t, jt = j.scaled
     jt_cols = list(zip(*jt))
     for a in range(n):
-        ad_ja = ad_combination(ads, jt_cols[a])      # A(Jt e_a)
+        ad_ja = linalg.mat_comb(jt_cols[a], ads)     # A(Jt e_a)
         for b in range(a + 1, n):
             inner = [x + y for x, y in zip(
                 (row[b] for row in ad_ja), linalg.mat_vec(ads[a], jt_cols[b]))]

@@ -197,7 +197,7 @@ def load_two_form(path: str, dim: int) -> TwoForm:
             raise SchemaError("%s: expected an object" % where)
         i = item.get("i")
         j = item.get("j")
-        if not isinstance(i, int) or not isinstance(j, int):
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in (i, j)):
             raise SchemaError("%s: integer i, j required" % where)
         if i == j:
             raise SchemaError("%s: i == j is not allowed" % where)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -204,10 +203,7 @@ class LieAlgebra:
         ads = self._integer_adjoints[1]
         if not self.is_solvable():
             raise NotSolvable("nilradical computation requires a solvable algebra")
-        # tr(M ad(e_i)) is the dot product of M and ad(e_i)^T, both flattened
-        flat_t = [[a[k][j] for j in range(n) for k in range(n)] for a in ads]
-        rows = [[sum(map(operator.mul, m, t)) for t in flat_t]
-                for m in _unital_closure(ads)]
+        rows = linalg.mat_mul(_unital_closure(ads), _trace_columns(ads))
         space = Subspace(n, linalg.nullspace(rows))
         self._validate_nilradical(space)
         return space
@@ -244,7 +240,7 @@ class LieAlgebra:
         if not self.derived_subalgebra() <= space:
             raise InternalCheckFailed("nilradical misses the derived subalgebra")
         for w in scaled:
-            if not is_nilpotent_matrix(ad_combination(ads, w)):
+            if not is_nilpotent_matrix(linalg.mat_comb(w, ads)):
                 raise InternalCheckFailed("nilradical element with non-nilpotent ad")
 
     # -- eigenvalue-type classification -------------------------------------
@@ -322,13 +318,6 @@ class LieAlgebra:
         return "LieAlgebra(dim=%d, form=%r)" % (self.dim, self.form)
 
 
-def ad_combination(ads: List[List[List[int]]], u: Sequence[int]) -> List[List[int]]:
-    """sum_i u_i A_i: the dense matrix of s ad(u) for A_i = s ad(e_i)."""
-    n = len(ads)
-    return [[sum(c * a[r][q] for c, a in zip(u, ads) if c) for q in range(n)]
-            for r in range(n)]
-
-
 def is_nilpotent_matrix(m: List[List]) -> bool:
     """m^(2^k) = 0 for the least 2^k >= n; a nilpotent n x n m has m^n = 0."""
     k = 1
@@ -345,12 +334,20 @@ def _cartan_solvable(ads: List[List[List[int]]]) -> bool:
     in g and y in [g,g]. With K_pq = tr(A_p A_q) and [g,g] spanned by the
     columns of the A_i, that is K A_i = 0 for every i.
     """
-    n = len(ads)
     flat = [[x for row in a for x in row] for a in ads]
-    flat_t = [[a[k][j] for j in range(n) for k in range(n)] for a in ads]
-    killing = [[sum(map(operator.mul, p, q)) for q in flat_t] for p in flat]
+    killing = linalg.mat_mul(flat, _trace_columns(ads))
     return not any(x for a in ads for row in linalg.mat_mul(killing, a)
                    for x in row)
+
+
+def _trace_columns(ads: List[List[List[int]]]) -> List[List[int]]:
+    """The n^2 x n matrix T with (flat M) T = [tr(M A_q) for each q].
+
+    Row (j, k) of T holds A_q[k][j] for every q, so a flattened M times
+    T is the row of traces tr(M A_q) = sum_jk M[j][k] A_q[k][j].
+    """
+    n = len(ads)
+    return [[a[k][j] for a in ads] for j in range(n) for k in range(n)]
 
 
 def _unital_closure(gens: List[List[List[int]]]) -> List[List[int]]:

@@ -1,11 +1,17 @@
-"""Exact dense linear algebra over Fraction or Scalar entries.
+"""Exact dense linear algebra over int, Fraction or Scalar entries.
 
 Matrices are plain lists of lists; vectors are lists. Everything here is
 field-generic: it only needs +, -, *, / and truthiness on entries, which
-both fractions.Fraction and scalars.Scalar provide. No floats anywhere:
+int, fractions.Fraction and scalars.Scalar provide. No floats anywhere:
 the eliminations (rref, det) and the polynomials (char_poly, min_poly)
 read their entries through scalars.exact, so that int input gives exact
 Fraction results and float entries are refused.
+
+This is the one place that multiplies or combines matrices. mat_mul,
+mat_vec and mat_comb share one rule: zero entries (zero coefficients for
+mat_comb) are skipped after the first product, and that first product
+fixes the entry type. Int matrices stay int, and on matrices of one entry
+type the result equals the dense sum in value and in type.
 """
 
 from __future__ import annotations
@@ -20,10 +26,6 @@ Vec = List
 Mat = List[List]
 
 
-def zeros(n: int, m: int) -> Mat:
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
 def identity(n: int) -> Mat:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
@@ -33,17 +35,35 @@ def transpose(a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k, m = len(a), len(b), len(b[0])
+    """a b, row i taken as the combination sum_p a[i][p] b[p].
+
+    Zero entries of a are skipped after the first product of each row,
+    as in mat_vec, so the first product fixes the entry type.
+    """
+    k = len(b)
     assert all(len(row) == k for row in a), "shape mismatch"
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for p in range(1, k):
-                acc = acc + a[i][p] * b[p][j]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        acc = [row[0] * y for y in b[0]]
+        for p in range(1, k):
+            c = row[p]
+            if c:
+                acc = [x + c * y for x, y in zip(acc, b[p])]
+        out.append(acc)
+    return out
+
+
+def mat_comb(coeffs: Sequence, mats: Sequence[Mat]) -> Mat:
+    """sum_i c_i M_i, skipping zero c_i after the first term.
+
+    The first term fixes the entry type, as the first product does in
+    mat_mul and mat_vec.
+    """
+    out = [[coeffs[0] * x for x in row] for row in mats[0]]
+    for c, m in zip(coeffs[1:], mats[1:]):
+        if c:
+            out = [[x + c * y for x, y in zip(orow, row)]
+                   for orow, row in zip(out, m)]
     return out
 
 
@@ -247,14 +267,14 @@ class Subspace:
     Two Subspace objects are equal exactly when they are the same subspace.
     """
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "rows", "pivots")
 
     def __init__(self, ambient: int, vectors: Sequence[Vec] = ()):
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
         self.ambient = ambient
-        self.rows, _ = rref(list(vectors))
+        self.rows, self.pivots = rref(list(vectors))
 
     @property
     def dim(self) -> int:
@@ -268,8 +288,7 @@ class Subspace:
         if len(v) != self.ambient:
             raise ValueError("ambient dimension mismatch")
         red = list(v)
-        for row in self.rows:
-            lead = next(c for c in range(self.ambient) if row[c])
+        for lead, row in zip(self.pivots, self.rows):
             if red[lead]:
                 f = red[lead]
                 red = [x - f * y for x, y in zip(red, row)]
@@ -299,13 +318,6 @@ class Subspace:
         # x in U cap V: x = a . U_rows = b . V_rows; solve for (a, b)
         stacked = transpose([list(r) for r in self.rows]
                             + [vec_scale(Fraction(-1), list(r)) for r in other.rows])
-        vecs = []
-        for sol in nullspace(stacked):
-            a = sol[:self.dim]
-            v = [Fraction(0)] * self.ambient
-            for c, row in zip(a, self.rows):
-                if c:
-                    v = vec_add(v, vec_scale(c, row))
-            vecs.append(v)
-        return Subspace(self.ambient, vecs)
+        coords = [sol[:self.dim] for sol in nullspace(stacked)]
+        return Subspace(self.ambient, mat_mul(coords, self.rows))
 

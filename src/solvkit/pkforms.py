@@ -43,24 +43,14 @@ class TwoForm(Cochain):
 
 
 def _gram(omega: Cochain, j: AlmostComplexStructure) -> List[List[Fraction]]:
-    """G[i][k] = omega(e_i, J e_k), from J's columns taken once."""
+    """G[i][k] = omega(e_i, J e_k): the matrix of omega times J."""
     if omega.degree != 2:
         raise ValueError("a 2-form is required")
     if omega.dim != j.dim:
         raise ValueError("dimension mismatch")
     n = omega.dim
-    cols = [[(m, j.matrix[m][k]) for m in range(n) if j.matrix[m][k]]
-            for k in range(n)]
-    gram = []
-    for i in range(n):
-        row = []
-        for col in cols:
-            val = Fraction(0)
-            for m, c in col:
-                val = val + c * omega.coefficient(i, m)
-            row.append(val)
-        gram.append(row)
-    return gram
+    return linalg.mat_mul([[omega.coefficient(i, m) for m in range(n)]
+                           for i in range(n)], j.matrix)
 
 
 def _is_symmetric(m: List[List[Fraction]]) -> bool:
@@ -121,7 +111,7 @@ class ClassifyResult:
 
 def classify(l: LieAlgebra, j: AlmostComplexStructure,
              omega: Cochain) -> ClassifyResult:
-    """Closedness, then compatibility, then rank, then exact signature."""
+    """Closedness, then compatibility, then exact signature and its rank."""
     rep = is_integrable(l, j)
     if not rep.ok:
         raise NotIntegrable("almost complex structure is not integrable: "
@@ -131,11 +121,9 @@ def classify(l: LieAlgebra, j: AlmostComplexStructure,
     gram = _gram(omega, j)
     if not _is_symmetric(gram):
         return ClassifyResult("incompatible")
-    if linalg.det(gram) == 0:
-        return ClassifyResult("degenerate")
     p, q = signature(gram)
-    if p + q != l.dim:
-        raise AssertionError("nonzero determinant but deficient signature")
+    if p + q < l.dim:
+        return ClassifyResult("degenerate")
     return ClassifyResult("kahler" if q == 0 else "pseudo_kahler", (p, q))
 
 
@@ -217,15 +205,7 @@ def sweep_invariant_forms(l: LieAlgebra, j: AlmostComplexStructure,
                             % (len(grid_vals), r))
     point = [0] * r
     while True:
-        acc = linalg.zeros(n, n)
-        for t in range(r):
-            if point[t]:
-                c = point[t]
-                for a in range(n):
-                    for b in range(n):
-                        if mats[t][a][b]:
-                            acc[a][b] = acc[a][b] + c * mats[t][a][b]
-        if _pfaffian(acc) != 0:
+        if _pfaffian(linalg.mat_comb(point, mats)) != 0:
             return SweepResult(r, False, "pfaffian_grid",
                                witness=tuple(point), grid=grid_vals)
         pos = r - 1

@@ -47,11 +47,10 @@ def pair_swap_j(dim: int) -> cxstruct.AlmostComplexStructure:
     return j_from_images(dim, images)
 
 
-def _ok(check_id: str, detail: dict) -> dict:
-    return {"check_id": check_id, "status": "pass", "detail": detail}
-
-
-def _fail(check_id: str, detail: dict, witness) -> dict:
+def _verdict(check_id: str, detail: dict, witness) -> dict:
+    """A passing verdict exactly when there is no witness of failure."""
+    if witness is None:
+        return {"check_id": check_id, "status": "pass", "detail": detail}
     return {"check_id": check_id, "status": "fail", "detail": detail,
             "witness": witness}
 
@@ -68,9 +67,7 @@ def check_theorem4_catalog() -> dict:
             witness = {"family": name, "jacobi_triple": list(jac.witness)}
         if not integ.ok and witness is None:
             witness = {"family": name, "nijenhuis_pair": list(integ.witness)}
-    if witness is None:
-        return _ok("C1-catalog-validity", detail)
-    return _fail("C1-catalog-validity", detail, witness)
+    return _verdict("C1-catalog-validity", detail, witness)
 
 
 def _three_dim_fixtures():
@@ -103,9 +100,7 @@ def check_winkelmann_table() -> dict:
         if trip != expected[label] and witness is None:
             witness = {"fixture": label, "got": list(trip),
                        "expected": list(expected[label])}
-    if witness is None:
-        return _ok("C2-winkelmann-table", detail)
-    return _fail("C2-winkelmann-table", detail, witness)
+    return _verdict("C2-winkelmann-table", detail, witness)
 
 
 def check_example6() -> dict:
@@ -124,9 +119,7 @@ def check_example6() -> dict:
           and not report.unit_modulus_root
           and spec.residual <= lattices.RESIDUAL_TOL
           and spec.classification == "3b")
-    if ok:
-        return _ok("C3-example6-lattice", detail)
-    return _fail("C3-example6-lattice", detail, detail)
+    return _verdict("C3-example6-lattice", detail, None if ok else detail)
 
 
 def check_theorem9_pipeline() -> dict:
@@ -155,11 +148,10 @@ def check_theorem9_pipeline() -> dict:
           and all(detail["invariance"].values())
           and detail["negative_half_integer"] and restriction_matches
           and classify_ok)
-    if ok:
-        return _ok("C4-theorem9-pipeline", detail)
-    witness = {k: v for k, v in detail.items()
-               if v is False or k in ("classify_tag", "classify_signature")}
-    return _fail("C4-theorem9-pipeline", detail, witness)
+    witness = None if ok else {
+        k: v for k, v in detail.items()
+        if v is False or k in ("classify_tag", "classify_signature")}
+    return _verdict("C4-theorem9-pipeline", detail, witness)
 
 
 def check_obstruction_and_r() -> dict:
@@ -181,9 +173,8 @@ def check_obstruction_and_r() -> dict:
     ok = (h_nilp["h1"] == 2 and n == 3 and obstruction == "obstructed"
           and r_nilp == 2 and r_nilp == h_nilp["h1"]
           and r_abel == 3 and r_abel == abel.complex_dim)
-    if ok:
-        return _ok("C5-obstruction-consistency", detail)
-    return _fail("C5-obstruction-consistency", detail, detail)
+    return _verdict("C5-obstruction-consistency", detail,
+                    None if ok else detail)
 
 
 def _integrable_catalog_pairs():
@@ -221,9 +212,7 @@ def check_round_trip() -> dict:
                 witness = {"entry": name, "stage": "unexpected witness",
                            "got": list(report.witness or ())}
     detail["negative_controls"] = negatives
-    if witness is None:
-        return _ok("C6-lemma-round-trip", detail)
-    return _fail("C6-lemma-round-trip", detail, witness)
+    return _verdict("C6-lemma-round-trip", detail, witness)
 
 
 def _numeric_eigen_classification(p: int, q: int) -> str:
@@ -263,11 +252,10 @@ def check_lattice_search() -> dict:
         "bound5_entries": len(table5),
         "disagreements": disagreements,
     }
-    if has_3b and not disagreements:
-        return _ok("C7-lattice-search", detail)
-    return _fail("C7-lattice-search", detail,
-                 {"disagreements": disagreements[:5],
-                  "minus1_3": detail["minus1_3_classification"]})
+    witness = None if has_3b and not disagreements else {
+        "disagreements": disagreements[:5],
+        "minus1_3": detail["minus1_3_classification"]}
+    return _verdict("C7-lattice-search", detail, witness)
 
 
 def check_group_laws() -> dict:
@@ -286,9 +274,7 @@ def check_group_laws() -> dict:
             witness = {"entry": name, "invariants": rep.invariants,
                        "expected": rep.expected,
                        "assoc_residual": rep.assoc_residual}
-    if witness is None:
-        return _ok("C8-group-law-crosscheck", detail)
-    return _fail("C8-group-law-crosscheck", detail, _jsonable(witness))
+    return _verdict("C8-group-law-crosscheck", detail, _jsonable(witness))
 
 
 def check_example3() -> dict:
@@ -306,9 +292,7 @@ def check_example3() -> dict:
     }
     ok = (integ.ok and verdict.tag == "kahler"
           and verdict.signature == (4, 0) and tag == "rigid")
-    if ok:
-        return _ok("C9-example3-kahler", detail)
-    return _fail("C9-example3-kahler", detail, detail)
+    return _verdict("C9-example3-kahler", detail, None if ok else detail)
 
 
 def _timed(check, seconds: Dict[str, float]) -> dict:
@@ -337,10 +321,8 @@ def check_determinism(core: List[dict]) -> dict:
     first = json.dumps(core, allow_nan=False)
     second = json.dumps(_core_payload({}), allow_nan=False)
     detail = {"identical": first == second, "bytes": len(first)}
-    if first == second:
-        return _ok("C10-determinism", detail)
-    return _fail("C10-determinism", detail, {"lengths": [len(first),
-                                                         len(second)]})
+    return _verdict("C10-determinism", detail, None if first == second
+                    else {"lengths": [len(first), len(second)]})
 
 
 def run_all(seconds: Dict[str, float]) -> List[dict]:

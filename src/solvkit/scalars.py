@@ -187,9 +187,10 @@ def _parse_rat(text: str) -> Fraction:
 def parse_scalar(text) -> Scalar:
     """Parse "p/q" or "p/q+r/s*i" (also bare "r/s*i") into a Scalar.
 
-    Integers arriving from JSON are accepted as-is; floats are rejected.
+    Integers arriving from JSON are accepted as-is; floats and booleans
+    (JSON true/false, which Python reads as ints) are rejected.
     """
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Scalar(text)
     if not isinstance(text, str):
         raise ValueError("scalar literal must be a string or int, got %r" % (text,))

@@ -55,6 +55,13 @@ def test_catalog_unknown_name(capsys):
     code, out, err = run(capsys, ["catalog", "show", "enoki"])
     assert code == 2
     assert not out and "error" in err
+    # a zero denominator in --params is a usage error too, not a traceback
+    for name, key, value in (("inoue-s0", "a", "1/0"),
+                             ("hyperelliptic", "eta", "1/0"),
+                             ("inoue-spm", "q", "2/0")):
+        argv = ["catalog", "show", name, "--params", "%s=%s" % (key, value)]
+        assert run(capsys, argv) == (
+            2, "", "error: %s must be rational, got '%s'\n" % (key, value))
 
 
 def test_catalog_crosscheck(capsys):
@@ -211,6 +218,44 @@ def test_h1_holonomy_refuses_non_real_entry(capsys, tmp_path):
     code, out, err = run(capsys, ["h1", path, "--holonomy", str(hol)])
     assert code == 3 and not out
     assert err == "input error: generators[0][0][0]: real entry required\n"
+
+
+SCALAR_TRUE = "scalar literal must be a string or int, got True"
+
+
+@pytest.mark.parametrize("where, message", [
+    ("bracket", "brackets[0].out['3']: " + SCALAR_TRUE),
+    ("J", "J[0][1]: " + SCALAR_TRUE),
+    ("holonomy", "generators[0][0][0]: " + SCALAR_TRUE),
+    ("omega-coeff", "omega[0].coeff: " + SCALAR_TRUE),
+    ("omega-index", "omega[0]: integer i, j required"),
+], ids=["bracket", "J", "holonomy", "omega-coeff", "omega-index"])
+def test_json_true_is_refused_not_read_as_one(capsys, tmp_path, where,
+                                              message):
+    entry = get("abelian")
+    doc = jsonio.dump_algebra(entry.algebra, entry.j)
+    jm = [row[:] for row in doc["J"]]
+    omega = [{"i": 1, "j": 2, "coeff": "1"}]
+    holonomy = [[["1"]]]
+    if where == "bracket":
+        doc["brackets"] = [{"i": 1, "j": 2, "out": {"3": True}}]
+    elif where == "J":
+        jm[0][1] = True
+    elif where == "holonomy":
+        holonomy = [[[True]]]
+    elif where == "omega-coeff":
+        omega[0]["coeff"] = True
+    else:
+        omega[0]["i"] = True
+    files = {"alg": doc, "J": jm, "omega": omega, "hol": holonomy}
+    for name, value in files.items():
+        (tmp_path / ("%s.json" % name)).write_text(json.dumps(value))
+    path = {name: str(tmp_path / ("%s.json" % name)) for name in files}
+    argv = (["h1", path["alg"], "--holonomy", path["hol"]]
+            if where in ("bracket", "holonomy") else
+            ["classify-form", path["alg"], "--J", path["J"],
+             "--omega", path["omega"]])
+    assert run(capsys, argv) == (3, "", "input error: %s\n" % message)
 
 
 def test_classify_form_kahler(capsys, tmp_path):

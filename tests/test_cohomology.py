@@ -22,7 +22,8 @@ from solvkit.errors import (BadHolonomy, DegreeTooHigh, NonCommutingHolonomy,
                             SolvkitError)
 from solvkit.liealg import LieAlgebra
 from solvkit.linalg import Subspace
-from solvkit.polys import all_roots_real, count_real_roots, factor_rational
+from solvkit.polys import (Poly, all_roots_real, count_real_roots,
+                           factor_rational)
 from solvkit.scalars import Scalar
 
 
@@ -255,12 +256,25 @@ def test_real_part_subspace():
     assert sub.contains([Scalar(1), Scalar(0), Scalar(0), Scalar(0)])
 
 
+def _poly_apply_reference(p, g):
+    """_poly_apply's accumulation loop before mat_comb took it over."""
+    n = len(g)
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    power = linalg.identity(n)
+    for c in p.coeffs:
+        if c:
+            acc = [[x + c * y for x, y in zip(ra, rp)]
+                   for ra, rp in zip(acc, power)]
+        power = linalg.mat_mul(power, g)
+    return acc
+
+
 def _real_part_by_factoring(g):
     """real_part_subspace's factor route, taken for every matrix."""
     vecs = []
     for factor, _mult in factor_rational(linalg.min_poly(g)):
         if factor.degree >= 1 and all_roots_real(factor):
-            vecs.extend(linalg.nullspace(cohomology._poly_apply(factor, g)))
+            vecs.extend(linalg.nullspace(_poly_apply_reference(factor, g)))
     return Subspace(len(g), vecs)
 
 
@@ -309,6 +323,20 @@ def test_real_part_shortcut_matches_factor_route():
             m = linalg.min_poly(g)
             branch = {0: "none", m.degree: "all"}.get(count_real_roots(m), "mixed")
             assert branch == kind
+
+
+def test_poly_apply_matches_reference():
+    """p(g) for p of every degree up to 4, zero coefficients included."""
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        g = [[Fraction(rng.choice([0, 0, 1, -1, 2])) for _ in range(n)]
+             for _ in range(n)]
+        p = Poly([rng.choice([0, 1, -2, Fraction(1, 3)])
+                  for _ in range(rng.randint(0, 4))] + [1])
+        got = cohomology._poly_apply(p, g)
+        assert got == _poly_apply_reference(p, g)
+        assert all(type(x) is Fraction for row in got for x in row)
 
 
 def test_winkelmann_table_never_imports_sympy():

@@ -1,6 +1,7 @@
 """Almost complex structures, Nijenhuis tensor, and the subalgebra
 correspondence in both directions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from solvkit.cxstruct import (AlmostComplexStructure, IntegrabilityReport,
                               subalgebra_from_j, tautological_j)
 from solvkit.errors import NotIntegrable, NotTransverse
 from solvkit.liealg import LieAlgebra
-from solvkit.scalars import Scalar
+from solvkit.scalars import Scalar, exact
 
 
 def standard_j4():
@@ -38,6 +39,49 @@ def test_j_validation():
     j = standard_j4()
     assert j.dim == 4
     assert j.apply([1, 0, 0, 0]) == [Scalar(0), Scalar(1), Scalar(0), Scalar(0)]
+
+
+def _j_squared_reference(matrix):
+    """The Fraction J^2 = -I check, a dense product of J with itself."""
+    m = [[exact(x) for x in row] for row in matrix]
+    n = len(m)
+    minus_eye = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
+    square = [[sum((m[i][p] * m[p][j] for p in range(1, n)), m[i][0] * m[0][j])
+               for j in range(n)] for i in range(n)]
+    return linalg.mat_eq(square, minus_eye)
+
+
+def test_j_squared_check_in_ints_matches_fraction_reference():
+    """Rational J's conjugate to the standard one pass, perturbed ones fail,
+    and scaled holds the least t with t J integral, and t J itself."""
+    rng = random.Random(71)
+    pool = [0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+    seen = set()
+    for _ in range(60):
+        n = rng.choice([2, 4, 6])
+        j0 = j_from_images(n, {k: {k ^ 1: 1 if k % 2 == 0 else -1}
+                               for k in range(n)})
+        low = [[1 if r == c else (rng.choice(pool) if r > c else 0)
+                for c in range(n)] for r in range(n)]
+        up = [[rng.choice(pool[2:]) if r == c else
+               (rng.choice(pool) if r < c else 0)
+               for c in range(n)] for r in range(n)]
+        p = linalg.mat_mul(low, up)
+        m = linalg.mat_mul(linalg.mat_mul(linalg.inverse(p), j0.matrix), p)
+        if rng.random() < 0.5:
+            m[rng.randrange(n)][rng.randrange(n)] += rng.choice(pool[2:])
+        ok = _j_squared_reference(m)
+        seen.add(ok)
+        if not ok:
+            with pytest.raises(ValueError, match=r"J\^2 is not -I"):
+                AlmostComplexStructure(m)
+            continue
+        j = AlmostComplexStructure(m)
+        t, jt = j.scaled
+        assert t == math.lcm(*(x.denominator for row in m for x in row))
+        assert jt == [[t * x for x in row] for row in m]
+        assert all(type(x) is int for row in jt for x in row)
+    assert seen == {False, True}
 
 
 def test_j_from_images_accepts_dicts_and_pairs():

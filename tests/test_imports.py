@@ -1,13 +1,17 @@
-"""No module of the package imports a name it never uses, the exact
-layers import no source of randomness or environment, and every name the
-benchmark's tracer patches still exists.
+"""No module of the package imports a name it never uses or defines a
+private function nothing reads, the exact layers import no source of
+randomness or environment, and every name the benchmark's tracer patches
+still exists.
 
-A stdlib-ast check, since no linter is assumed: every name bound by a
+Stdlib-ast checks, since no linter is assumed: every name bound by a
 module-level import in src/solvkit/*.py must be read somewhere in that
-module. __init__.py is skipped because its imports are the re-exports.
+module (__init__.py is skipped because its imports are the re-exports),
+and every module-level function whose name starts with one underscore
+must be read somewhere in src/solvkit, outside its own body.
 """
 
 import ast
+import collections
 import importlib
 import pathlib
 
@@ -59,6 +63,41 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names_read(node):
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute))
+
+
+def unread_private_functions(sources):
+    """(module, name) of each module-level `_f` that no source reads.
+
+    `sources` maps module names to source text. A function calling itself
+    does not count as a read.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = sum((_names_read(t) for t in trees.values()), collections.Counter())
+    return sorted(
+        (module, node.name) for module, tree in trees.items()
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and reads[node.name] == _names_read(node)[node.name])
+
+
+def test_the_check_sees_an_unread_private_function():
+    assert unread_private_functions({
+        "a": "def _kept(): pass\ndef _gone(n): return _gone(n - 1)\n"
+             "def __dunder__(): pass\n",
+        "b": "from . import a\nx = a._kept\n",
+    }) == [("a", "_gone")]
+
+
+def test_every_private_function_is_read_in_the_package():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_private_functions(sources) == []
 
 
 def test_the_check_sees_a_nested_import():

@@ -408,6 +408,24 @@ def test_center_and_unimodular_match_bracket_routes():
     assert seen == {(a, b) for a in (False, True) for b in (False, True)}
 
 
+def _ad_combination_reference(ads, u):
+    """sum_i u_i A_i: the dense matrix of s ad(u) for A_i = s ad(e_i)."""
+    n = len(ads)
+    return [[sum(c * a[r][q] for c, a in zip(u, ads) if c) for q in range(n)]
+            for r in range(n)]
+
+
+def test_mat_comb_matches_ad_combination_reference():
+    rng = random.Random(37)
+    for l in _random_tables(37, 60):
+        ads = l._integer_adjoints[1]
+        for _ in range(3):
+            u = [rng.choice([0, 0, 1, -2, 3]) for _ in range(l.dim)]
+            got = linalg.mat_comb(u, ads)
+            assert got == _ad_combination_reference(ads, u)
+            assert all(type(x) is int for row in got for x in row)
+
+
 def test_is_nilpotent_matrix():
     for n in range(1, 9):
         shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]

@@ -45,6 +45,75 @@ def test_mat_vec_sparse_matches_dense():
         assert [type(x) for x in got] == [type(x) for x in dense]
 
 
+def _mat_mul_reference(a, b):
+    """The dense product mat_mul replaced: every a[i][p] b[p][j] is taken."""
+    n, k, m = len(a), len(b), len(b[0])
+    assert all(len(row) == k for row in a), "shape mismatch"
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = a[i][0] * b[0][j]
+            for p in range(1, k):
+                acc = acc + a[i][p] * b[p][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _kinds(rng):
+    return [int, Fraction, lambda x: Scalar(x, rng.choice([0, 0, 1]))]
+
+
+def _sparse_matrix(rng, conv, n, m):
+    """Mostly zero entries, with a whole zero row or column now and then."""
+    a = [[conv(rng.choice([0, 0, 0, 1, -2, Fraction(1, 2)]))
+          for _ in range(m)] for _ in range(n)]
+    if rng.random() < 0.3:
+        a[rng.randrange(n)] = [conv(0)] * m
+    if rng.random() < 0.3:
+        col = rng.randrange(m)
+        for row in a:
+            row[col] = conv(0)
+    return a
+
+
+def _types(m):
+    return [[type(x) for x in row] for row in m]
+
+
+def test_mat_mul_matches_dense_reference():
+    """Skipping zero entries of a keeps the values and the entry types,
+    on int, Fraction and Scalar matrices of any shape."""
+    rng = random.Random(17)
+    kinds = _kinds(rng)
+    for _ in range(150):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = _sparse_matrix(rng, rng.choice(kinds), n, k)
+        b = _sparse_matrix(rng, rng.choice(kinds), k, m)
+        got, want = linalg.mat_mul(a, b), _mat_mul_reference(a, b)
+        assert got == want
+        assert _types(got) == _types(want)
+    with pytest.raises(AssertionError):
+        linalg.mat_mul([[1, 2]], [[1, 2]])
+
+
+def test_mat_comb_matches_entrywise_sum():
+    rng = random.Random(19)
+    kinds = _kinds(rng)
+    for _ in range(100):
+        conv = rng.choice(kinds)
+        n, m, r = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        mats = [_sparse_matrix(rng, conv, n, m) for _ in range(r)]
+        coeffs = [conv(rng.choice([0, 0, 1, -3])) for _ in range(r)]
+        want = [[sum((c * mt[i][j] for c, mt in zip(coeffs[1:], mats[1:])),
+                     coeffs[0] * mats[0][i][j]) for j in range(m)]
+                for i in range(n)]
+        got = linalg.mat_comb(coeffs, mats)
+        assert got == want
+        assert _types(got) == _types(want)
+
+
 def test_rref_rank_nullspace_random():
     rng = random.Random(7)
     for _ in range(60):
@@ -214,6 +283,54 @@ def test_subspace_lattice_operations():
     assert Subspace(3, [e2]) <= a
     assert not (a <= b)
     assert a.intersect(Subspace(3)) == Subspace(3)
+
+
+def _contains_reference(s, v):
+    """Subspace.contains before the pivots were kept: each lead re-found."""
+    if len(v) != s.ambient:
+        raise ValueError("ambient dimension mismatch")
+    red = list(v)
+    for row in s.rows:
+        lead = next(c for c in range(s.ambient) if row[c])
+        if red[lead]:
+            f = red[lead]
+            red = [x - f * y for x, y in zip(red, row)]
+    return linalg.is_zero_vec(red)
+
+
+def _intersect_reference(s, other):
+    """Subspace.intersect before its vectors came from one mat_mul."""
+    assert s.ambient == other.ambient
+    if s.dim == 0 or other.dim == 0:
+        return Subspace(s.ambient)
+    # x in U cap V: x = a . U_rows = b . V_rows; solve for (a, b)
+    stacked = linalg.transpose(
+        [list(r) for r in s.rows]
+        + [linalg.vec_scale(Fraction(-1), list(r)) for r in other.rows])
+    vecs = []
+    for sol in linalg.nullspace(stacked):
+        a = sol[:s.dim]
+        v = [Fraction(0)] * s.ambient
+        for c, row in zip(a, s.rows):
+            if c:
+                v = linalg.vec_add(v, linalg.vec_scale(c, row))
+        vecs.append(v)
+    return Subspace(s.ambient, vecs)
+
+
+def test_subspace_pivots_contains_and_intersect_match_references():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        a, b = (Subspace(n, _sparse_matrix(rng, Fraction, rng.randint(1, 4), n))
+                for _ in range(2))
+        assert a.pivots == [next(c for c in range(n) if row[c])
+                            for row in a.rows]
+        cap = a.intersect(b)
+        assert cap == _intersect_reference(a, b)
+        assert _types(cap.rows) == _types(_intersect_reference(a, b).rows)
+        for v in _sparse_matrix(rng, Fraction, 4, n) + a.rows + cap.rows:
+            assert a.contains(v) == _contains_reference(a, v)
 
 
 def test_subspace_intersection_random():

@@ -1,15 +1,18 @@
 """Two-form classification, exact signatures, and the degeneracy sweep."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from solvkit import catalog, linalg, pkforms
+from solvkit.cohomology import Cochain, ce_d
+from solvkit.cxstruct import is_integrable
 from solvkit.errors import NotCompatible, NotIntegrable
-from solvkit.pkforms import (TwoForm, classify, closed_compatible_space,
-                             j_compatible, metric_from, signature,
-                             sweep_invariant_forms)
+from solvkit.pkforms import (ClassifyResult, TwoForm, classify,
+                             closed_compatible_space, j_compatible,
+                             metric_from, signature, sweep_invariant_forms)
 from solvkit.scalars import Scalar
 
 
@@ -134,6 +137,122 @@ def test_classify_branches():
     bad_j = j_from_images(4, {0: {2: 1}, 2: {0: -1}, 1: {3: 1}, 3: {1: -1}})
     with pytest.raises(NotIntegrable):
         classify(hyp.algebra, bad_j, TwoForm(4, {(0, 1): 1}))
+
+
+def _gram_reference(omega, j):
+    """G[i][k] = omega(e_i, J e_k), from J's columns taken once."""
+    if omega.degree != 2:
+        raise ValueError("a 2-form is required")
+    if omega.dim != j.dim:
+        raise ValueError("dimension mismatch")
+    n = omega.dim
+    cols = [[(m, j.matrix[m][k]) for m in range(n) if j.matrix[m][k]]
+            for k in range(n)]
+    gram = []
+    for i in range(n):
+        row = []
+        for col in cols:
+            val = Fraction(0)
+            for m, c in col:
+                val = val + c * omega.coefficient(i, m)
+            row.append(val)
+        gram.append(row)
+    return gram
+
+
+def _classify_det_reference(l, j, omega):
+    """classify as it was: degeneracy by a determinant, before the signature."""
+    rep = is_integrable(l, j)
+    if not rep.ok:
+        raise NotIntegrable("almost complex structure is not integrable: "
+                            "witness pair %r" % (rep.witness,))
+    if not ce_d(l, omega).is_zero():
+        return ClassifyResult("not_closed")
+    gram = _gram_reference(omega, j)
+    if not pkforms._is_symmetric(gram):
+        return ClassifyResult("incompatible")
+    if linalg.det(gram) == 0:
+        return ClassifyResult("degenerate")
+    p, q = signature(gram)
+    if p + q != l.dim:
+        raise AssertionError("nonzero determinant but deficient signature")
+    return ClassifyResult("kahler" if q == 0 else "pseudo_kahler", (p, q))
+
+
+def _types(m):
+    return [[type(x) for x in row] for row in m]
+
+
+def _seeded_forms(rng, n, count):
+    """Random 2-forms: few terms, small fractional coefficients."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for _ in range(count):
+        yield TwoForm(n, {p: rng.choice([1, -1, 2, Fraction(1, 2)])
+                          for p in rng.sample(pairs, rng.randint(1, 4))})
+
+
+def test_gram_and_classify_match_references():
+    """Seeded forms and closed compatible combinations on every catalog J:
+    the same Gram matrix with the same entry types, and the same verdict
+    whether degeneracy comes from det or from the signature."""
+    rng = random.Random(61)
+    tags = set()
+    for name in catalog.list_names():
+        entry = catalog.get(name)
+        if entry.j is None:
+            continue
+        l, j = entry.algebra, entry.j
+        basis = closed_compatible_space(l, j)
+        combos = [TwoForm(l.dim, {k: sum(rng.choice([0, 1, -1, 2]) * f.coeffs
+                                         .get(k, 0) for f in basis)
+                                  for k in itertools.combinations(
+                                      range(l.dim), 2)})
+                  for _ in range(4 if basis else 0)]
+        standard = TwoForm(l.dim, {(k, k + 1): 1 for k in range(0, l.dim, 2)})
+        forms = list(_seeded_forms(rng, l.dim, 6)) + basis + combos + [standard]
+        for omega in forms:
+            got = pkforms._gram(omega, j)
+            assert got == _gram_reference(omega, j)
+            assert _types(got) == _types(_gram_reference(omega, j))
+        # a nonreal cochain (only expforms.restrict_identity builds one) gets
+        # the same values; a zero may be a Scalar where the loop left Fraction
+        complex_form = Cochain(l.dim, 2, {(0, 1): "1+1*i", (1, 2): 3})
+        assert pkforms._gram(complex_form, j) == \
+            _gram_reference(complex_form, j)
+        for omega in forms:
+            verdict = classify(l, j, omega)
+            assert verdict == _classify_det_reference(l, j, omega), name
+            tags.add(verdict.tag)
+    assert tags == {"not_closed", "incompatible", "degenerate", "kahler",
+                    "pseudo_kahler"}
+
+
+def _sweep_sum_reference(point, mats):
+    """The grid point's form, summed as sweep_invariant_forms once did."""
+    r, n = len(mats), len(mats[0])
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for t in range(r):
+        if point[t]:
+            c = point[t]
+            for a in range(n):
+                for b in range(n):
+                    if mats[t][a][b]:
+                        acc[a][b] = acc[a][b] + c * mats[t][a][b]
+    return acc
+
+
+def test_sweep_grid_sum_matches_reference():
+    rng = random.Random(67)
+    for name in ("abelian", "nilpotent3", "example3"):
+        entry = catalog.get(name)
+        mats = [f.matrix() for f in
+                closed_compatible_space(entry.algebra, entry.j)]
+        grid = range(entry.algebra.dim // 2 + 1)
+        for point in [[0] * len(mats)] + [
+                [rng.choice(grid) for _ in mats] for _ in range(20)]:
+            got = linalg.mat_comb(point, mats)
+            assert got == _sweep_sum_reference(point, mats)
+            assert _types(got) == _types(_sweep_sum_reference(point, mats))
 
 
 def test_classify_pseudo_kahler_fixture_values():

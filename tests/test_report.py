@@ -10,10 +10,20 @@ CORE_CHECKS = ("check_theorem4_catalog", "check_winkelmann_table",
                "check_lattice_search", "check_group_laws", "check_example3")
 
 
+def test_a_verdict_passes_exactly_without_a_witness():
+    assert report._verdict("C0", {"n": 1}, None) == {
+        "check_id": "C0", "status": "pass", "detail": {"n": 1}}
+    for witness in ({"n": 1}, {}, [], 0, False):
+        assert report._verdict("C0", {}, witness) == {
+            "check_id": "C0", "status": "fail", "detail": {},
+            "witness": witness}
+
+
 def test_run_all_makes_two_core_passes(monkeypatch):
     for t, name in enumerate(CORE_CHECKS):
         monkeypatch.setattr(report, name,
-                            lambda t=t: report._ok("C%d" % (t + 1), {"n": t}))
+                            lambda t=t: report._verdict("C%d" % (t + 1),
+                                                        {"n": t}, None))
     real_core = report._core_payload
     calls = []
 
