@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, TextIO
 
 from . import catalog, cohomology, cxstruct, expforms, jsonio, lattices, report
 from .errors import (BoundTooLarge, NoGroupLaw, NotIntegrable, ParamOutOfRange,
@@ -27,6 +27,15 @@ INPUT_ERROR = 3
 
 def _print(doc) -> None:
     sys.stdout.write(jsonio.dumps_canonical(doc) + "\n")
+
+
+def _write_out(path: str, write: Callable[[TextIO], object]) -> None:
+    """write(fh) on the --out file `path`; exit 3 if it cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as e:
+        raise SchemaError("cannot write %s: %s" % (path, e.strerror or e))
 
 
 def _digest_file(path: str) -> str:
@@ -168,19 +177,17 @@ def cmd_lattice(args) -> int:
         if args.bound < 0:
             raise ParamOutOfRange("bound must be nonnegative")
         entries = lattices.search_palindromic(args.bound)
-        payload = jsonio.dump_search_entries(entries)
         counts = {"3a": 0, "3b": 0, "excluded": 0}
         for e in entries:
             counts[e.classification] += 1
-        out = {"command": "lattice search", "bound": args.bound,
-               "counts": counts, "entries": payload}
+        head = {"command": "lattice search", "bound": args.bound,
+                "counts": counts}
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(jsonio.dumps_canonical(out) + "\n")
-            _print({"command": "lattice search", "bound": args.bound,
-                    "counts": counts, "out": args.out})
+            _write_out(args.out, lambda fh: jsonio.dump_search_entries(
+                head, entries, fh))
+            _print(dict(head, out=args.out))
         else:
-            _print(out)
+            jsonio.dump_search_entries(head, entries, sys.stdout)
         return 0
     # build
     size = 4 if args.kind == "nonnilpotent" else 2
@@ -215,8 +222,8 @@ def cmd_paper_report(args) -> int:
         "timings": {"total_seconds": elapsed, "checks": seconds},
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(jsonio.dumps_canonical(out) + "\n")
+        _write_out(args.out,
+                   lambda fh: fh.write(jsonio.dumps_canonical(out) + "\n"))
     _print(out)
     return 0 if all(v["status"] == "pass" for v in verdicts) else 1
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Dict, List, Optional, TextIO, Tuple
 
 from .cxstruct import AlmostComplexStructure
 from .errors import SchemaError
@@ -268,15 +269,26 @@ def dump_lattice_spec(spec) -> dict:
     return doc
 
 
-def dump_search_entries(entries) -> List[dict]:
-    return [{
-        "p": e.p,
-        "q": e.q,
-        "coeffs": [str(c) for c in e.polynomial.coeffs],
-        "companion": [list(row) for row in e.companion],
-        "classification": e.classification,
-        "reason": e.reason,
-    } for e in entries]
+# One entry as dumps_canonical lays it out in "entries", by the same encoder;
+# "#d"/"#s" become %-fields: p q, coeffs p q p, row -p -q -p, tag, reason.
+_SEARCH_ENTRY = "\n".join("    " + line for line in json.dumps({
+    "p": "#d", "q": "#d", "coeffs": ["1", "%d", "%d", "%d", "1"],
+    "companion": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                  [-1, "#d", "#d", "#d"]],
+    "classification": "#s", "reason": "#s"}, indent=2).split("\n")
+).replace('"#d"', "%d").replace('"#s"', "%s")
+
+
+def dump_search_entries(head: dict, entries, fh: TextIO) -> None:
+    """Stream dumps_canonical(dict(head, entries=...)) + "\n" to fh, one
+    lattices.SearchEntry (a nonempty list of them) at a time."""
+    fh.write(dumps_canonical(head)[:-2] + ',\n  "entries": [\n')
+    for t, e in enumerate(entries):
+        fh.write((",\n" if t else "") + _SEARCH_ENTRY % (
+            e.p, e.q, e.p, e.q, e.p, -e.p, -e.q, -e.p,
+            encode_basestring_ascii(e.classification),
+            encode_basestring_ascii(e.reason)))
+    fh.write("\n  ]\n}\n")
 
 
 def dumps_canonical(obj) -> str:

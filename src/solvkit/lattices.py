@@ -20,8 +20,7 @@ from . import linalg
 from .errors import (BoundTooLarge, DegenerateEigenvectors, NoNonRealEigenvalue,
                      NotReciprocal, NotSemisimple, NotSpecialLinear,
                      NotSquarefree, TraceTooSmall)
-from .polys import (Poly, all_roots_real, count_real_roots,
-                    has_unit_modulus_root, is_squarefree)
+from .polys import Poly, all_roots_real, is_squarefree, real_and_unit_roots
 
 RESIDUAL_TOL = 1e-9
 INDEPENDENCE_MARGIN = 1e-6
@@ -65,14 +64,10 @@ def classify_eigen(p: Poly) -> EigenReport:
     """Exact real-root count and unit-modulus test for a squarefree poly."""
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    if not is_squarefree(p):
+    found = real_and_unit_roots(p)
+    if found is None:
         raise NotSquarefree("polynomial has a repeated root: %r" % (p,))
-    reals = count_real_roots(p)
-    return EigenReport(
-        real_roots=reals,
-        all_real=(reals == p.degree),
-        unit_modulus_root=has_unit_modulus_root(p),
-    )
+    return EigenReport(found[0], found[0] == p.degree, found[1])
 
 
 def semisimple_commuting_check(a: Sequence[Sequence[int]],
@@ -339,10 +334,20 @@ def companion_palindromic(p: int, q: int) -> IntMatrix:
 class SearchEntry:
     p: int
     q: int
-    polynomial: Poly
-    companion: Tuple[Tuple[int, ...], ...]
     classification: str        # "3a" | "3b" | "excluded"
     reason: str
+
+    @property
+    def coeffs(self) -> Tuple[int, ...]:
+        return (1, self.p, self.q, self.p, 1)
+
+    @property
+    def polynomial(self) -> Poly:
+        return Poly(self.coeffs)
+
+    @property
+    def companion(self) -> IntMatrix:
+        return companion_palindromic(self.p, self.q)
 
 
 def classify_palindromic(p: int, q: int) -> Tuple[str, str]:
@@ -393,15 +398,6 @@ def search_palindromic(bound: int) -> List[SearchEntry]:
         raise ValueError("bound must be nonnegative")
     if bound > 50:
         raise BoundTooLarge("bound %d exceeds the supported desk scale" % bound)
-    out: List[SearchEntry] = []
-    for p in range(-bound, bound + 1):
-        for q in range(-bound, bound + 1):
-            classification, reason = classify_palindromic(p, q)
-            out.append(SearchEntry(p, q, Poly([1, p, q, p, 1]),
-                                   _freeze(companion_palindromic(p, q)),
-                                   classification, reason))
-    return out
-
-
-def _freeze(m: IntMatrix) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in m)
+    r = range(-bound, bound + 1)
+    return [SearchEntry(p, q, *classify_palindromic(p, q))
+            for p in r for q in r]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class Poly:
@@ -338,7 +338,17 @@ def has_unit_modulus_root(p: Poly) -> bool:
     degree: degree 2 is decided by its discriminant, palindromic quartics
     via the c = (t + 1/t)/2 substitution.
     """
-    q = _squarefree(_ints(p))
+    return _unit_root(_squarefree(_ints(p)))
+
+
+def real_and_unit_roots(p: Poly) -> Optional[Tuple[int, bool]]:
+    """(count_real_roots, has_unit_modulus_root) of squarefree p, else None."""
+    a = _ints(p)
+    squarefree = len(_gcd(a, _derivative(a))) == 1  # the only gcd with p'
+    return (_count(_sturm(a)), _unit_root(a)) if squarefree else None
+
+
+def _unit_root(q: List[int]) -> bool:  # q squarefree and content-free
     q = q[1:] if q[:1] == [0] else q  # the root 0 is off the circle
     if q[::-1] not in (q, [-c for c in q]):
         q = _gcd(q, q[::-1])  # the roots closed under 1/z: self-reciprocal

@@ -11,9 +11,10 @@ from contextlib import redirect_stdout
 import pytest
 
 import solvkit
-from solvkit import jsonio
+from solvkit import jsonio, report
 from solvkit.catalog import get
 from solvkit.cli import main
+from solvkit.lattices import search_palindromic
 from solvkit.report import pair_swap_j
 
 
@@ -315,6 +316,61 @@ def test_lattice_search_bad_bounds(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, ["lattice", "search", "--bound", "-3"])
     assert code == 2 and "error" in err
+
+
+def _search_document_reference(bound):
+    """The search table as built before the streamed writer: a dict per
+    entry, then json.dumps(indent=2) of the whole document."""
+    entries = search_palindromic(bound)
+    counts = {"3a": 0, "3b": 0, "excluded": 0}
+    for e in entries:
+        counts[e.classification] += 1
+    return json.dumps({
+        "command": "lattice search", "bound": bound, "counts": counts,
+        "entries": [{
+            "p": e.p,
+            "q": e.q,
+            "coeffs": [str(c) for c in e.polynomial.coeffs],
+            "companion": [list(row) for row in e.companion],
+            "classification": e.classification,
+            "reason": e.reason,
+        } for e in entries]}, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bound", range(6))
+def test_lattice_search_writer_matches_reference(capsys, tmp_path, bound):
+    want = _search_document_reference(bound)
+    out_file = tmp_path / "table.json"
+    code, _, _ = run(capsys, ["lattice", "search", "--bound", str(bound),
+                              "--out", str(out_file)])
+    assert code == 0 and out_file.read_bytes() == want.encode()
+    assert run(capsys, ["lattice", "search", "--bound", str(bound)]) == \
+        (0, want, "")
+
+
+def test_lattice_search_bound50_file_pinned(capsys, tmp_path):
+    out_file = tmp_path / "table.json"
+    code, doc, _ = run_json(capsys, ["lattice", "search", "--bound", "50",
+                                     "--out", str(out_file)])
+    assert (code, doc) == (0, {
+        "command": "lattice search", "bound": 50,
+        "counts": {"3a": 1596, "3b": 890, "excluded": 7715},
+        "out": str(out_file)})
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
+        "e47c330fb4314986301c2d3c59974dfacbf03d542b92418f7e1444bfc1ecbc81"
+
+
+@pytest.mark.parametrize("argv", [["lattice", "search", "--bound", "1"],
+                                  ["paper-report"]],
+                         ids=["lattice-search", "paper-report"])
+def test_unwritable_out_exits_3(capsys, tmp_path, monkeypatch, argv):
+    # the report's checks are not under test here, only its --out write
+    monkeypatch.setattr(report, "run_all", lambda seconds: [])
+    missing = str(tmp_path / "no-dir" / "x.json")
+    for path, reason in ((missing, "No such file or directory"),
+                         (str(tmp_path), "Is a directory")):
+        assert run(capsys, argv + ["--out", path]) == (
+            3, "", "input error: cannot write %s: %s\n" % (path, reason))
 
 
 def test_lattice_build_three_kinds(capsys, tmp_path):

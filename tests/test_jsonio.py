@@ -1,5 +1,6 @@
 """Document schema: loading, validation diagnostics, and round trips."""
 
+import io
 import json
 
 import pytest
@@ -180,10 +181,18 @@ def test_dump_lattice_and_search_shapes():
     assert doc["classification"] == "3a"
     assert all(len(pair) == 2 for pair in doc["lambda_generators"])
     json.dumps(doc)    # must already be JSON-serializable
-    entries = dump_search_entries(search_palindromic(1))
+    out = io.StringIO()
+    dump_search_entries({"bound": 1}, search_palindromic(1), out)
+    doc = json.loads(out.getvalue())
+    assert list(doc) == ["bound", "entries"]
+    entries = doc["entries"]
     assert len(entries) == 9
     assert {e["classification"] for e in entries} <= {"3a", "3b", "excluded"}
-    json.dumps(entries)
+    assert entries[0] == {
+        "p": -1, "q": -1, "coeffs": ["1", "-1", "-1", "-1", "1"],
+        "companion": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                      [-1, 1, 1, 1]],
+        "classification": "excluded", "reason": "unit_modulus_root"}
 
 
 def test_dumps_canonical_is_deterministic():
