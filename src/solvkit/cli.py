@@ -208,6 +208,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_paper_report(args) -> int:
+    if args.out:    # an unwritable --out is refused before any check runs
+        _write_out(args.out, lambda fh: None)
     seconds: Dict[str, float] = {}
     started = time.perf_counter()
     verdicts = report.run_all(seconds)

@@ -12,7 +12,6 @@ correspondence in both directions, and the round trip is the identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -41,8 +40,7 @@ class AlmostComplexStructure:
             raise ValueError("J must be square")
         if any(isinstance(x, Scalar) for row in self.matrix for x in row):
             raise ValueError("J must have real entries")
-        t = math.lcm(*(x.denominator for row in self.matrix for x in row))
-        jt = [[int(x * t) for x in row] for row in self.matrix]
+        t, jt = linalg.scaled(self.matrix)
         minus_t2 = [[-t * t if i == j else 0 for j in range(n)] for i in range(n)]
         if linalg.mat_mul(jt, jt) != minus_t2:
             raise ValueError("J^2 is not -I")

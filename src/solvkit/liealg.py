@@ -120,22 +120,28 @@ class LieAlgebra:
         With A_i = s ad(e_i) from _integer_adjoints, the Jacobi sum
         [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] times s^2 is
         -(A_k A_i e_j + A_i A_j e_k + A_j A_k e_i), so the scan runs on
-        ints and only a reported defect is divided back.
+        ints and only a reported defect is divided back. Only the triples
+        of _jacobi_triples are visited, and A_a e_p is summed over p.
         """
-        n = self.dim
         s, ads = self._integer_adjoints
         cols = [list(zip(*a)) for a in ads]      # cols[i][j] = A_i e_j
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc = [a + b + c for a, b, c in zip(
-                        linalg.mat_vec(ads[k], cols[i][j]),
-                        linalg.mat_vec(ads[i], cols[j][k]),
-                        linalg.mat_vec(ads[j], cols[k][i]))]
-                    if any(acc):
-                        return JacobiReport(False, (i, j, k), [
-                            Fraction(x, -s * s) for x in acc])
+        for i, j, k in self._jacobi_triples():
+            acc = [0] * self.dim
+            for a, b, c in ((k, i, j), (i, j, k), (j, k, i)):
+                for p, x in enumerate(cols[b][c]):
+                    if x:
+                        acc = [u + x * v for u, v in zip(acc, cols[a][p])]
+            if any(acc):
+                return JacobiReport(False, (i, j, k), [
+                    Fraction(x, -s * s) for x in acc])
         return JacobiReport(True)
+
+    def _jacobi_triples(self) -> List[Tuple[int, int, int]]:
+        """Ascending i < j < k with a pair in the table; for any other
+        triple the three inner brackets, so the Jacobi sum, are 0.
+        """
+        return sorted({tuple(sorted((a, b, c))) for a, b in self._table
+                       for c in range(self.dim) if c not in (a, b)})
 
     def derived_subalgebra(self) -> Subspace:
         return self._derived
@@ -230,10 +236,7 @@ class LieAlgebra:
     def _validate_nilradical(self, space: Subspace) -> None:
         # the ideal test comes first: once [g,g] is inside, it cannot fail
         ads = self._integer_adjoints[1]
-        scaled = []
-        for v in space.basis:
-            d = math.lcm(*(x.denominator for x in v))
-            scaled.append([int(x * d) for x in v])
+        _, scaled = linalg.scaled(space.basis)
         if not all(space.contains(linalg.mat_vec(a, w))
                    for a in ads for w in scaled):
             raise InternalCheckFailed("nilradical is not an ideal")
@@ -353,27 +356,15 @@ def _trace_columns(ads: List[List[List[int]]]) -> List[List[int]]:
 def _unital_closure(gens: List[List[List[int]]]) -> List[List[int]]:
     """Basis of the unital associative algebra generated by int matrices.
 
-    Fraction-free echelon: each element, flattened, is reduced against the
-    earlier ones by cross-multiplication and divided by its content, so
-    the basis is of primitive int rows. Products are taken of these rows,
-    which span the same algebra as the words in the generators.
+    Each element, flattened, goes through linalg.echelon_add, so the basis
+    is of primitive int rows. Products are taken of these rows, which span
+    the same algebra as the words in the generators.
     """
     n = len(gens[0])
     echelon: List[Tuple[int, List[int]]] = []
 
     def add(m: List[List[int]]) -> Optional[List[int]]:
-        red = [x for row in m for x in row]
-        for lead, row in echelon:
-            if red[lead]:
-                g = math.gcd(row[lead], red[lead])
-                a, b = row[lead] // g, red[lead] // g
-                red = [a * x - b * y for x, y in zip(red, row)]
-        content = math.gcd(*red)
-        if not content:
-            return None
-        red = [x // content for x in red]
-        echelon.append((next(c for c, x in enumerate(red) if x), red))
-        return red
+        return linalg.echelon_add(echelon, [x for row in m for x in row])
 
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
     frontier = [r for r in map(add, [unit] + gens) if r is not None]

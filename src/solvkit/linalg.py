@@ -1,11 +1,11 @@
 """Exact dense linear algebra over int, Fraction or Scalar entries.
 
-Matrices are plain lists of lists; vectors are lists. Everything here is
-field-generic: it only needs +, -, *, / and truthiness on entries, which
-int, fractions.Fraction and scalars.Scalar provide. No floats anywhere:
-the eliminations (rref, det) and the polynomials (char_poly, min_poly)
-read their entries through scalars.exact, so that int input gives exact
-Fraction results and float entries are refused.
+Matrices are plain lists of lists; vectors are lists. Entries are read
+through scalars.exact, so floats are refused. The eliminations (rref and
+all that reads it) and char_poly run on the ints of scaled, through the
+one fraction-free echelon_add, return exact Fractions and refuse non-real
+entries with ValueError. det alone stays field-generic, over int,
+Fraction or Scalar entries.
 
 This is the one place that multiplies or combines matrices. mat_mul,
 mat_vec and mat_comb share one rule: zero entries (zero coefficients for
@@ -16,6 +16,7 @@ type the result equals the dense sum in value and in type.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -115,30 +116,49 @@ def mat_trace(a: Mat):
 # -- elimination -------------------------------------------------------------
 
 
+def scaled(rows: Sequence[Vec]) -> Tuple[int, List[List[int]]]:
+    """(s, s rows), s the lcm of the denominators; ValueError if not real."""
+    m = [[exact(x) for x in r] for r in rows]
+    for x in (x for r in m for x in r if isinstance(x, Scalar)):
+        raise ValueError("expected a real matrix entry, got %s" % (x,))
+    s = math.lcm(*(x.denominator for r in m for x in r))
+    return s, [[x.numerator * (s // x.denominator) for x in r] for r in m]
+
+
+def echelon_add(echelon: List[Tuple[int, List[int]]],
+                row: List[int]) -> Optional[List[int]]:
+    """Append an int row, reduced against the (lead, row) pairs; None if 0.
+
+    Cross-multiplied, then divided by its content (Bareiss, Math. Comp. 22
+    (1968)), each stored row is primitive and 0 at the earlier leads.
+    """
+    red = row
+    for lead, erow in echelon:
+        if red[lead]:
+            g = math.gcd(erow[lead], red[lead])
+            a, b = erow[lead] // g, red[lead] // g
+            red = [a * x - b * y for x, y in zip(red, erow)]
+    content = math.gcd(*red)
+    if not content:
+        return None
+    red = [x // content for x in red]
+    echelon.append((next(c for c, x in enumerate(red) if x), red))
+    return red
+
+
 def rref(rows: Sequence[Vec]) -> Tuple[Mat, List[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [[exact(x) for x in r] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+    _, ints = scaled(rows)
+    echelon: List[Tuple[int, List[int]]] = []
+    for row in ints:
+        if len(echelon) == len(row):
             break
-    return m[:r], pivots
+        echelon_add(echelon, row)
+    back: List[Tuple[int, List[int]]] = []
+    for _, row in sorted(echelon, reverse=True):    # back-substitution
+        echelon_add(back, row)
+    return ([[Fraction(x, row[p]) for x in row] for p, row in reversed(back)],
+            [p for p, _ in reversed(back)])
 
 
 def rank(rows: Sequence[Vec]) -> int:
@@ -197,6 +217,7 @@ def inverse(a: Mat) -> Mat:
 
 
 def det(a: Mat):
+    """Determinant by elimination in the entries' own field, Scalar included."""
     n = len(a)
     m = [[exact(x) for x in row] for row in a]
     sign = 1
@@ -219,26 +240,21 @@ def det(a: Mat):
 # -- characteristic and minimal polynomials ----------------------------------
 
 
-def _to_fraction_matrix(a: Mat) -> List[List[Fraction]]:
-    out = [[exact(x) for x in row] for row in a]
-    for row in out:
-        for x in row:
-            if isinstance(x, Scalar):
-                raise ValueError("expected a real matrix entry, got %s" % (x,))
-    return out
-
-
 def char_poly(a: Mat) -> Poly:
-    """det(t I - a) by the Faddeev-LeVerrier recursion, exactly (monic)."""
-    m = _to_fraction_matrix(a)
-    n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = identity(n)
+    """det(t I - a) by the Faddeev-LeVerrier recursion, exactly (monic).
+
+    On B = s a from scaled, M_k = B M_(k-1) + c_(k-1) I and c_k =
+    -tr(B M_k) / k are integers; det(t I - a) has c_k / s^k at t^(n-k).
+    """
+    s, b = scaled(a)
+    n = len(b)
+    coeffs = [0] * n + [1]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        c = -mat_trace(mk) / k
-        coeffs[n - k] = c
+        mk = mat_mul(b, mk)
+        c, rem = divmod(-mat_trace(mk), k)
+        assert not rem, "Faddeev-LeVerrier trace not divisible"
+        coeffs[n - k] = Fraction(c, s ** k)
         for i in range(n):
             mk[i][i] += c
     return Poly(coeffs)
@@ -250,7 +266,7 @@ def min_poly(a: Mat) -> Poly:
     The columns flat(a^0..a^n) have pivots 0..d-1 before the first free
     column d, so the first kernel vector is (c_0, ..., c_{d-1}, 1, 0, ...).
     """
-    m = _to_fraction_matrix(a)
+    m = [[exact(x) for x in row] for row in a]
     powers = [identity(len(m))]
     for _ in m:
         powers.append(mat_mul(powers[-1], m))

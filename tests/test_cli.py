@@ -364,8 +364,11 @@ def test_lattice_search_bound50_file_pinned(capsys, tmp_path):
                                   ["paper-report"]],
                          ids=["lattice-search", "paper-report"])
 def test_unwritable_out_exits_3(capsys, tmp_path, monkeypatch, argv):
-    # the report's checks are not under test here, only its --out write
-    monkeypatch.setattr(report, "run_all", lambda seconds: [])
+    # paper-report refuses the path before any check runs
+    def run_all(seconds):
+        pytest.fail("paper-report ran its checks before opening --out")
+
+    monkeypatch.setattr(report, "run_all", run_all)
     missing = str(tmp_path / "no-dir" / "x.json")
     for path, reason in ((missing, "No such file or directory"),
                          (str(tmp_path), "Is a directory")):

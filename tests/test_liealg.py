@@ -1,5 +1,6 @@
 """Lie algebra structure: brackets, series, nilradical, eigenvalue type."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -226,17 +227,19 @@ def test_nilradical_matches_reference_on_semidirect_products(l):
     assert l.nilradical_solvable() == _nilradical_reference(l)
 
 
+def _jacobi_sum(l, i, j, k):
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] by brackets."""
+    acc = l.bracket(l.bracket_basis(i, j), l._e(k))
+    acc = linalg.vec_add(acc, l.bracket(l.bracket_basis(j, k), l._e(i)))
+    return linalg.vec_add(acc, l.bracket(l.bracket_basis(k, i), l._e(j)))
+
+
 def _jacobi_reference(l):
-    """The Scalar bracket loop that jacobi_check replaced."""
-    for i in range(l.dim):
-        for j in range(i + 1, l.dim):
-            bij = l.bracket_basis(i, j)
-            for k in range(j + 1, l.dim):
-                acc = l.bracket(bij, l._e(k))
-                acc = linalg.vec_add(acc, l.bracket(l.bracket_basis(j, k), l._e(i)))
-                acc = linalg.vec_add(acc, l.bracket(l.bracket_basis(k, i), l._e(j)))
-                if not linalg.is_zero_vec(acc):
-                    return JacobiReport(False, (i, j, k), acc)
+    """The bracket loop over every triple that jacobi_check replaced."""
+    for triple in itertools.combinations(range(l.dim), 3):
+        acc = _jacobi_sum(l, *triple)
+        if not linalg.is_zero_vec(acc):
+            return JacobiReport(False, triple, acc)
     return JacobiReport(True)
 
 
@@ -348,6 +351,48 @@ def test_kernels_match_reference_on_random_tables(l):
     assert rep == _jacobi_reference(l)
     if rep.ok:
         assert l.is_solvable() == _solvable_reference(l)
+
+
+def _heisenberg_type(n):
+    """[e_2t, e_2t+1] = e_(n-1) for every pair below the last basis vector."""
+    return LieAlgebra(n, {(2 * t, 2 * t + 1): {n - 1: 1}
+                          for t in range((n - 1) // 2)})
+
+
+def test_jacobi_scan_counts_follow_the_table(monkeypatch):
+    """The scan's work is counted, not timed: 0 triples on an abelian table,
+    at most |T| (n - 2) on a Heisenberg-type one, and nothing else visited."""
+    assert LieAlgebra(40, {})._jacobi_triples() == []
+    h = _heisenberg_type(41)
+    assert 0 < len(h._jacobi_triples()) <= len(h._table) * (h.dim - 2)
+    assert h.jacobi_check() == JacobiReport(True)
+    l, triple, _ = NON_JACOBI[0]
+    assert triple in l._jacobi_triples()
+    monkeypatch.setattr(LieAlgebra, "_jacobi_triples", lambda self: [])
+    assert l.jacobi_check() == JacobiReport(True)
+
+
+def test_jacobi_triples_cover_every_nonzero_sum():
+    """Seeded random tables, a third of them failing: every triple left out
+    has a zero Jacobi sum, and the scan's witness and defect are the
+    reference's."""
+    rng = random.Random(41)
+    failing = 0
+    for _ in range(150):
+        n = rng.randint(3, 7)
+        l = LieAlgebra(n, {
+            (i, j): {rng.randrange(n): rng.choice(_POOL[3:])
+                     for _ in range(rng.randint(1, 2))}
+            for i, j in itertools.combinations(range(n), 2)
+            if rng.random() < 0.3})
+        visited = l._jacobi_triples()
+        assert visited == sorted(set(visited))
+        for triple in set(itertools.combinations(range(n), 3)) - set(visited):
+            assert linalg.is_zero_vec(_jacobi_sum(l, *triple))
+        rep = l.jacobi_check()
+        assert rep == _jacobi_reference(l)
+        failing += not rep.ok
+    assert failing >= 50
 
 
 def test_validate_nilradical_rejects_each_wrong_answer():

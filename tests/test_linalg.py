@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from solvkit import linalg
 from solvkit.linalg import Subspace
 from solvkit.polys import Poly
-from solvkit.scalars import Scalar
+from solvkit.scalars import Scalar, exact
 
 
 def _rand_matrix(rng, n, m):
@@ -124,6 +126,101 @@ def test_rref_rank_nullspace_random():
         assert r + len(ker) == m       # rank-nullity
         for v in ker:
             assert linalg.is_zero_vec(linalg.mat_vec(a, v))
+
+
+def _rref_reference(rows):
+    """The Gauss-Jordan rref over Fractions that the integer echelon replaced."""
+    m = [[exact(x) for x in r] for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def _char_poly_reference(a):
+    """Faddeev-LeVerrier over Fractions, as char_poly ran before it took ints."""
+    m = [[exact(x) for x in row] for row in a]
+    n = len(m)
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    mk = linalg.identity(n)
+    for k in range(1, n + 1):
+        mk = linalg.mat_mul(m, mk)
+        c = -linalg.mat_trace(mk) / k
+        coeffs[n - k] = c
+        for i in range(n):
+            mk[i][i] += c
+    return Poly(coeffs)
+
+
+_INTS = st.integers(-6, 6)
+_RATIONALS = st.builds(Fraction, _INTS, st.sampled_from([1, 2, 3, 6]))
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """Int or rational rows, 1-8 wide, with zero rows and dependent rows."""
+    entries = draw(st.sampled_from([_INTS, _RATIONALS]))
+    width = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(width if square else draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind == "combination" and rows:
+            u, v, c = (draw(st.sampled_from(rows)), draw(st.sampled_from(rows)),
+                       draw(entries))
+            rows.append([x + c * y for x, y in zip(u, v)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=width, max_size=width)))
+    return rows
+
+
+@given(_matrices())
+def test_rref_matches_fraction_reference(a):
+    got, want = linalg.rref(a), _rref_reference(a)
+    assert got == want
+    assert _types(got[0]) == _types(want[0])
+
+
+@given(_matrices(square=True))
+def test_char_poly_matches_fraction_reference(a):
+    got, want = linalg.char_poly(a), _char_poly_reference(a)
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_scaled():
+    s, ints = linalg.scaled([[Fraction(1, 2), 3], [Fraction(-2, 3), "1/6"]])
+    assert (s, ints) == (6, [[3, 18], [-4, 1]])
+    assert all(type(x) is int for row in ints for x in row)
+    assert linalg.scaled([]) == (1, [])
+    assert linalg.scaled([[Scalar(4, 0)]]) == (1, [[4]])
+
+
+def test_non_real_entries_are_refused():
+    m = [[1, Scalar(0, 1)], [0, 1]]
+    for call in (linalg.scaled, linalg.rref, linalg.char_poly,
+                 lambda a: Subspace(2, a)):
+        with pytest.raises(ValueError, match="expected a real matrix entry"):
+            call(m)
 
 
 def test_solve():
