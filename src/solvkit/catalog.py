@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cxstruct import AlmostComplexStructure, j_from_images, tautological_j
 from .errors import NoGroupLaw, ParamOutOfRange, UnknownName
-from .liealg import LieAlgebra, realify_complex_brackets
+from .liealg import MAX_DIM, LieAlgebra, realify_complex_brackets
 
 Point = Tuple[complex, ...]
 
@@ -230,6 +230,7 @@ def _build_abelian(params: Dict[str, object]) -> CatalogEntry:
     dim = params.get("dim", 4)
     _require(isinstance(dim, int) and dim >= 2 and dim % 2 == 0,
              "dim must be a positive even integer")
+    _require(dim <= MAX_DIM, "dim must be at most %d" % MAX_DIM)
     l = LieAlgebra(dim, {})
     return CatalogEntry("abelian", {"dim": dim}, l, _standard_j(dim),
                         _abelian_law(dim // 2),
@@ -289,6 +290,7 @@ def _build_example3(params: Dict[str, object]) -> CatalogEntry:
     k = params.get("k", 1)
     _require(isinstance(l, int) and l >= 1, "l must be a positive integer")
     _require(isinstance(k, int) and k >= 1, "k must be a positive integer")
+    _require(2 * l + 2 * k <= MAX_DIM, "dim = 2l + 2k must be at most %d" % MAX_DIM)
     orders = params.get("s", 4)
     if isinstance(orders, int):
         orders = [orders] * (2 * k)
@@ -373,6 +375,11 @@ class GroupLawReport:
     expected: Dict[str, object]
     invariants_match: bool
     assoc_residual: float
+
+    @property
+    def ok(self) -> bool:
+        """C8's pass rule: exact invariants agree, associativity holds."""
+        return self.invariants_match and self.assoc_residual <= 1e-9
 
 
 def _numeric_span_dims(rows: np.ndarray, tol: float) -> int:

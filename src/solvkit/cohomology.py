@@ -140,14 +140,6 @@ def _alt_minor(vecs: List[List], key: Tuple[int, ...]):
     return linalg.det(m)
 
 
-def one_form(dim: int, index: int, coeff=1) -> Cochain:
-    return Cochain(dim, 1, {(index,): coeff})
-
-
-def two_form_terms(dim: int, terms: Dict[Tuple[int, int], object]) -> Cochain:
-    return Cochain(dim, 2, terms)
-
-
 def ce_d(l: LieAlgebra, c: Cochain) -> Cochain:
     """Chevalley-Eilenberg differential, exact, degrees 0 through 2.
 
@@ -180,23 +172,6 @@ def h1_lie(l: LieAlgebra) -> int:
     value = l.dim - l.derived_subalgebra().dim
     if value % drop:
         raise ValueError("derived subalgebra is not i-invariant")
-    return value // drop
-
-
-def h1_lie_by_kernel(l: LieAlgebra) -> int:
-    """Same number via the exact kernel of d on 1-forms (cross-check route)."""
-    n = l.dim
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = l.bracket_basis(i, j)
-            row = [-coef for coef in w]
-            rows.append(row)
-    rank = linalg.rank(rows) if rows else 0
-    value = n - rank
-    drop = 2 if l.form == "complex" else 1
-    if value % drop:
-        raise ValueError("kernel of d is not i-invariant")
     return value // drop
 
 
@@ -270,12 +245,7 @@ def quotient_dim(l: LieAlgebra) -> int:
     """Real dimension of [g,g]/[n,n] for a solvable algebra."""
     derived = l.derived_subalgebra()
     nil = l.nilradical_solvable()
-    nn_vectors = []
-    basis = nil.basis
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            nn_vectors.append(l.bracket(basis[a], basis[b]))
-    nn = Subspace(l.dim, nn_vectors)
+    nn = l.bracket_span(nil, nil)
     if not (nn <= derived):
         raise InternalCheckFailed("[n,n] escaped the derived subalgebra")
     return derived.dim - nn.dim

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, TextIO, Tuple
 
 from .cxstruct import AlmostComplexStructure
 from .errors import SchemaError
-from .liealg import LieAlgebra
+from .liealg import MAX_DIM, LieAlgebra
 from .pkforms import TwoForm
 from .scalars import Scalar, exact, format_scalar, parse_scalar
 
@@ -66,6 +66,8 @@ def algebra_from_document(doc: dict, validate: bool = True) -> LieAlgebra:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError("dim: positive integer required")
+    if dim > MAX_DIM:
+        raise SchemaError("dim: at most %d supported, got %d" % (MAX_DIM, dim))
     field = doc.get("field", "real")
     if field not in ("real", "complex"):
         raise SchemaError('field: must be "real" or "complex"')

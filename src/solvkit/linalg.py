@@ -84,10 +84,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return out
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return [x + y for x, y in zip(u, v)]
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return [x - y for x, y in zip(u, v)]
 
@@ -118,7 +114,7 @@ def mat_trace(a: Mat):
 
 def scaled(rows: Sequence[Vec]) -> Tuple[int, List[List[int]]]:
     """(s, s rows), s the lcm of the denominators; ValueError if not real."""
-    m = [[exact(x) for x in r] for r in rows]
+    m = [[x if type(x) is int else exact(x) for x in r] for r in rows]
     for x in (x for r in m for x in r if isinstance(x, Scalar)):
         raise ValueError("expected a real matrix entry, got %s" % (x,))
     s = math.lcm(*(x.denominator for r in m for x in r))

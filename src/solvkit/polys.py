@@ -257,31 +257,11 @@ def is_squarefree(p: Poly) -> bool:
     return bool(a) and len(_gcd(a, _derivative(a))) == 1
 
 
-def sturm_chain(p: Poly) -> list:
-    """p, p', -rem(p, p'), ..., each up to a positive factor."""
-    return [Poly(f) for f in _sturm(_ints(p))]
-
-
 def count_real_roots(p: Poly) -> int:
     """Number of distinct real roots of p (whole real line)."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     return _count(_sturm(_squarefree(_ints(p))))
-
-
-def count_real_roots_in(p: Poly, a, b) -> int:
-    """Distinct real roots of p in the closed interval [a, b], exactly."""
-    a, b = Fraction(a), Fraction(b)
-    if a > b:
-        raise ValueError("empty interval")
-    q = _squarefree(_ints(p))
-    return _count(_sturm(q), a, b) + (bool(q) and _value_at(q, a) == 0)
-
-
-def count_negative_real_roots(p: Poly) -> int:
-    """Distinct real roots in (-inf, 0). Zero is not counted."""
-    q = _squarefree(_ints(p))
-    return _count(_sturm(q), None, 0) - (q[:1] == [0])
 
 
 # -- root-location predicates -------------------------------------------------
@@ -320,15 +300,6 @@ def descartes_positive_count(p: Poly) -> int:
 # -- unit-modulus roots -------------------------------------------------------
 
 
-def palindromic_quartic_reduction(p_coeff: Fraction, q_coeff: Fraction) -> Poly:
-    """For t^4 + p t^3 + q t^2 + p t + 1, the quadratic in c = (t + 1/t)/2.
-
-    Unit-circle roots t = e^{i*phi} correspond exactly to real roots
-    c = cos(phi) of 4c^2 + 2pc + (q - 2) inside [-1, 1].
-    """
-    return Poly([q_coeff - 2, 2 * p_coeff, Fraction(4)])
-
-
 def has_unit_modulus_root(p: Poly) -> bool:
     """Exact test for a root of modulus one (rational coefficients, deg <= 4).
 
@@ -360,8 +331,10 @@ def _unit_root(q: List[int]) -> bool:  # q squarefree and content-free
     if len(q) == 3:
         return q[1] * q[1] < 4 * q[2] * q[0]  # a conjugate pair, |z| = 1
     if len(q) == 5:
-        # q[4] * palindromic_quartic_reduction(q[3] / q[4], q[2] / q[4]),
-        # squarefree as q is and, as q(+-1) != 0, nonzero at c = +-1
+        # q = t^2 (4 q[4] c^2 + 2 q[3] c + q[2] - 2 q[4]) for c = (t + 1/t)/2,
+        # so the roots t = e^(i phi) are the roots c = cos(phi) in [-1, 1];
+        # the quadratic is squarefree as q is and, as q(+-1) != 0, nonzero
+        # at c = +-1
         return _count(_sturm([q[2] - 2 * q[4], 2 * q[3], 4 * q[4]]), -1, 1) > 0
     raise ValueError("unit-modulus test implemented for degree <= 4 only")
 

@@ -269,8 +269,7 @@ def check_group_laws() -> dict:
             "invariants_match": rep.invariants_match,
             "assoc_residual": rep.assoc_residual,
         }
-        if (not rep.invariants_match or rep.assoc_residual > 1e-9) \
-                and witness is None:
+        if not rep.ok and witness is None:
             witness = {"entry": name, "invariants": rep.invariants,
                        "expected": rep.expected,
                        "assoc_residual": rep.assoc_residual}

@@ -11,6 +11,7 @@ from solvkit.catalog import (ETA_CHOICES, SURFACE_FAMILIES,
 from solvkit.cohomology import h1_lie
 from solvkit.cxstruct import is_integrable
 from solvkit.errors import NoGroupLaw, ParamOutOfRange, UnknownName
+from solvkit.liealg import MAX_DIM
 
 LAW_NAMES = ("abelian", "hyperelliptic", "primary-kodaira", "example3",
              "abelian3", "nilpotent3", "nonnilpotent3")
@@ -82,6 +83,15 @@ def test_example3_parameters():
         get("example3", l=1, k=1, s=(3,))   # needs one order per direction
     with pytest.raises(ParamOutOfRange):
         get("example3", l=1, k=1, s=(0, 4))
+
+
+def test_dimension_parameters_stop_at_max_dim():
+    assert get("abelian", dim=MAX_DIM).algebra.dim == MAX_DIM
+    assert get("example3", l=1, k=MAX_DIM // 2 - 1).algebra.dim == MAX_DIM
+    with pytest.raises(ParamOutOfRange):
+        get("abelian", dim=MAX_DIM + 2)
+    with pytest.raises(ParamOutOfRange):
+        get("example3", l=2, k=MAX_DIM // 2 - 1)
 
 
 def test_group_law_points():

@@ -11,10 +11,11 @@ from contextlib import redirect_stdout
 import pytest
 
 import solvkit
-from solvkit import jsonio, report
+from solvkit import catalog, jsonio, report
 from solvkit.catalog import get
 from solvkit.cli import main
 from solvkit.lattices import search_palindromic
+from solvkit.liealg import MAX_DIM
 from solvkit.report import pair_swap_j
 
 
@@ -63,6 +64,38 @@ def test_catalog_unknown_name(capsys):
         argv = ["catalog", "show", name, "--params", "%s=%s" % (key, value)]
         assert run(capsys, argv) == (
             2, "", "error: %s must be rational, got '%s'\n" % (key, value))
+
+
+def _refuse_any_algebra(*args, **kwargs):
+    raise AssertionError("an algebra was built before the size check")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["h1", "DOC"], 3, "input error: dim: at most %d supported, got 10000\n"),
+    (["verify-integrable", "DOC"], 3,
+     "input error: dim: at most %d supported, got 10000\n"),
+    (["catalog", "show", "abelian", "--params", "dim=10000"], 2,
+     "error: dim must be at most %d\n"),
+    (["catalog", "show", "example3", "--params", "l=10000"], 2,
+     "error: dim = 2l + 2k must be at most %d\n"),
+    (["catalog", "show", "example3", "--params", "k=10000"], 2,
+     "error: dim = 2l + 2k must be at most %d\n"),
+], ids=["h1", "verify-integrable", "abelian-dim", "example3-l",
+        "example3-k"])
+def test_oversized_dim_is_refused_before_allocation(
+        capsys, tmp_path, monkeypatch, argv, code, message):
+    """A dim far above MAX_DIM is refused before any algebra is built.
+
+    With the check gone, no structure of size 10000 would be built
+    either: the patched LieAlgebra fails first (example3 builds lists of
+    length 2k and 2lk before it).
+    """
+    for module in (jsonio, catalog):
+        monkeypatch.setattr(module, "LieAlgebra", _refuse_any_algebra)
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps({"dim": 10000, "J": None}))
+    argv = [str(doc) if a == "DOC" else a for a in argv]
+    assert run(capsys, argv) == (code, "", message % MAX_DIM)
 
 
 def test_catalog_crosscheck(capsys):

@@ -15,7 +15,7 @@ from solvkit.cxstruct import (AlmostComplexStructure, IntegrabilityReport,
                               j_from_images, j_from_subspace, nijenhuis,
                               subalgebra_from_j, tautological_j)
 from solvkit.errors import NotIntegrable, NotTransverse
-from solvkit.liealg import LieAlgebra
+from solvkit.liealg import LieAlgebra, realify_complex_brackets
 from solvkit.scalars import Scalar, exact
 
 
@@ -185,10 +185,14 @@ def _algebra_and_j(draw):
 
 def _fractional_p(draw, n):
     """An invertible L U with fractional entries drawn from _POOL."""
-    low = [[1 if r == c else (draw(st.sampled_from(_POOL)) if r > c else 0)
+    return _lu_p(lambda pool: draw(st.sampled_from(pool)), n)
+
+
+def _lu_p(pick, n):
+    """L U, unit L, with entries pick(_POOL) and a nonzero diagonal of U."""
+    low = [[1 if r == c else (pick(_POOL) if r > c else 0)
             for c in range(n)] for r in range(n)]
-    up = [[draw(st.sampled_from(_POOL[3:])) if r == c else
-           (draw(st.sampled_from(_POOL)) if r < c else 0)
+    up = [[pick(_POOL[3:]) if r == c else (pick(_POOL) if r < c else 0)
            for c in range(n)] for r in range(n)]
     return linalg.mat_mul(low, up)
 
@@ -281,7 +285,7 @@ def _j_from_subspace_reference(lc, space):
                                 [Fraction(int(a == k)) for a in range(n)])
         img = [Fraction(0)] * n
         for coef, row in zip(c, b_im):
-            img = linalg.vec_add(img, linalg.vec_scale(coef, row))
+            img = [x + coef * y for x, y in zip(img, row)]
         cols.append(img)
     return AlmostComplexStructure(linalg.transpose(cols))
 
@@ -316,6 +320,60 @@ def test_tautological_j_is_complex_linear():
     assert not is_complex_lie_algebra(hyp.algebra, hyp.j)
 
 
+def _is_complex_lie_algebra_reference(l, j):
+    """The pairwise Fraction loop that is_complex_lie_algebra replaced."""
+    for a in range(l.dim):
+        ea = l._e(a)
+        jea = j.apply(ea)
+        for b in range(l.dim):
+            if a == b:
+                continue
+            eb = l._e(b)
+            lhs = j.apply(l.bracket(ea, eb))
+            rhs = l.bracket(jea, eb)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def _complex_tables(rng, count):
+    """Seeded complex tables of complex dim 1..3, realified; Jacobi is not
+    enforced, and multiplication by i commutes with every ad regardless."""
+    values = ["1", "-1", "2", "i", "1/2-i", "-2/3+3/4*i"]
+    for _ in range(count):
+        m = rng.randint(1, 3)
+        yield realify_complex_brackets(m, {
+            (a, b): {k: rng.choice(values) for k in rng.sample(range(m), 1)}
+            for a in range(m) for b in range(a + 1, m) if rng.random() < 0.7})
+
+
+def test_is_complex_lie_algebra_matches_pairwise_reference():
+    rng = random.Random(61)
+    cases = []
+    for name in ("abelian3", "nilpotent3", "nonnilpotent3"):
+        l = catalog.get(name).algebra
+        cases.append((l, tautological_j(l)))
+    for name in catalog.list_names():
+        entry = catalog.get(name)
+        cases.append((entry.algebra, entry.j))
+        lc = entry.algebra.complexify()
+        cases.append((lc, tautological_j(lc)))
+    for l in _complex_tables(rng, 80):
+        p = _lu_p(rng.choice, l.dim)
+        j = _conjugate(tautological_j(l), p)
+        cases += [(_transport(l, p), j), (l, j)]
+    seen = []
+    for l, j in cases:
+        got = is_complex_lie_algebra(l, j)
+        assert got == _is_complex_lie_algebra_reference(l, j), (l._table, j)
+        seen.append(got)
+    assert seen[:3] == [True] * 3
+    assert min(seen.count(True), seen.count(False)) > 40
+
+
 def test_is_integrable_dimension_guard():
     with pytest.raises(ValueError):
         is_integrable(LieAlgebra(2, {}), standard_j4())
+    for n in (2, 6):
+        with pytest.raises(ValueError, match="J dimension"):
+            is_complex_lie_algebra(LieAlgebra(n, {}), standard_j4())

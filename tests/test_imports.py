@@ -1,13 +1,14 @@
 """No module of the package imports a name it never uses or defines a
-private function nothing reads, the exact layers import no source of
-randomness or environment, and every name the benchmark's tracer patches
-still exists.
+function nothing reads, the exports of __init__ are the pinned API, the
+exact layers import no source of randomness or environment, and every name
+the benchmark's tracer patches still exists.
 
 Stdlib-ast checks, since no linter is assumed: every name bound by a
 module-level import in src/solvkit/*.py must be read somewhere in that
-module (__init__.py is skipped because its imports are the re-exports),
-and every module-level function whose name starts with one underscore
-must be read somewhere in src/solvkit, outside its own body.
+module (__init__.py is skipped because its imports are the re-exports);
+every module-level function whose name starts with one underscore must be
+read somewhere in src/solvkit, outside its own body, and every other one
+must be read there too, exported by __init__ or patched by the tracer.
 """
 
 import ast
@@ -17,6 +18,7 @@ import pathlib
 
 import pytest
 
+import solvkit
 from solvkit import catalog, report
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "solvkit"
@@ -72,32 +74,86 @@ def _names_read(node):
         or isinstance(n, ast.Attribute))
 
 
-def unread_private_functions(sources):
-    """(module, name) of each module-level `_f` that no source reads.
+def unread_functions(sources, public=False):
+    """(module, name) of each module-level function that no source reads.
 
-    `sources` maps module names to source text. A function calling itself
-    does not count as a read.
+    `sources` maps module names to source text. Only the private `_f` are
+    looked at, or with `public` only the others; dunders never. Reads are
+    matched by name, and a function calling itself does not count.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
     reads = sum((_names_read(t) for t in trees.values()), collections.Counter())
     return sorted(
         (module, node.name) for module, tree in trees.items()
         for node in tree.body if isinstance(node, ast.FunctionDef)
-        and node.name.startswith("_") and not node.name.startswith("__")
+        and not node.name.startswith("__")
+        and node.name.startswith("_") != public
         and reads[node.name] == _names_read(node)[node.name])
 
 
 def test_the_check_sees_an_unread_private_function():
-    assert unread_private_functions({
+    sources = {
         "a": "def _kept(): pass\ndef _gone(n): return _gone(n - 1)\n"
-             "def __dunder__(): pass\n",
+             "def __dunder__(): pass\ndef shown(): pass\n",
         "b": "from . import a\nx = a._kept\n",
-    }) == [("a", "_gone")]
+    }
+    assert unread_functions(sources) == [("a", "_gone")]
+    assert unread_functions(sources, public=True) == [("a", "shown")]
 
 
 def test_every_private_function_is_read_in_the_package():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert unread_private_functions(sources) == []
+    assert unread_functions(sources) == []
+
+
+def exported_names():
+    """The names `solvkit/__init__.py` imports from its modules."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return sorted(alias.asname or alias.name for node in tree.body
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names)
+
+
+# the library API: everything else in the package may change without notice
+API = [
+    "AlmostComplexStructure", "CatalogEntry", "ClassifyResult", "Cochain",
+    "ComplexSubalgebra", "EigenReport", "ExpForm", "GroupLawReport",
+    "HolonomyAction", "IntegrabilityReport", "JacobiReport", "LatticeSpec",
+    "LatticeTranslation", "LieAlgebra", "Poly", "Scalar", "SearchEntry",
+    "SweepResult", "TwoForm", "all_roots_pure_imaginary", "all_roots_real",
+    "brackets_from_group_law", "build_lattice_nilpotent",
+    "build_lattice_nonnilpotent", "ce_d", "char_poly", "classify",
+    "classify_eigen", "classify_palindromic", "closed_compatible_space",
+    "closed_holomorphic_1forms", "companion_palindromic", "conjugate_form",
+    "count_real_roots", "errors", "ext_d", "factor_rational",
+    "format_scalar", "get", "group_law_eval", "h1_lie",
+    "has_unit_modulus_root", "is_complex_lie_algebra", "is_integrable",
+    "is_squarefree", "j_compatible", "j_from_images", "j_from_subspace",
+    "list_names", "maurer_cartan_forms", "metric_from", "nakamura_lattice",
+    "nijenhuis", "omega_coordinate", "omega_mc", "parse_scalar",
+    "poly_from_descending", "pseudo_kahler_obstruction",
+    "pullback_translation", "realify_complex_brackets", "restrict_identity",
+    "sc", "search_palindromic", "semisimple_commuting_check", "signature",
+    "squarefree_part", "subalgebra_from_j", "sweep_invariant_forms",
+    "tautological_j", "winkelmann_h1",
+]
+
+
+def test_the_exports_are_the_pinned_api():
+    assert exported_names() == API
+    assert all(hasattr(solvkit, name) for name in API)
+
+
+def test_every_public_function_is_read_exported_or_traced(perfbench):
+    """A public module-level function is read in the package, exported by
+    __init__, or patched by the benchmark's tracer; else it belongs in the
+    tests that use it."""
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    traced = {(layer, name) for layer, names in perfbench.tracer.TRACED.items()
+              for name in names}
+    assert [(module, name) for module, name
+            in unread_functions(sources, public=True)
+            if name not in API and (module, name) not in traced] == []
 
 
 def test_the_check_sees_a_nested_import():

@@ -14,6 +14,7 @@ from solvkit.jsonio import (algebra_from_document, dump_algebra,
                             load_document, load_holonomy, load_j_matrix,
                             load_two_form)
 from solvkit.lattices import nakamura_lattice, search_palindromic
+from solvkit.liealg import MAX_DIM
 from solvkit.scalars import Scalar
 
 HEIS_DOC = {
@@ -59,6 +60,12 @@ def test_algebra_happy_path(tmp_path):
     l = load_algebra(write(tmp_path, "heis.json", HEIS_DOC))
     assert l.dim == 3
     assert l.bracket_basis(0, 1)[2] == Scalar(1)
+
+
+def test_dim_bound():
+    assert algebra_from_document({"dim": MAX_DIM}).dim == MAX_DIM
+    with pytest.raises(SchemaError, match="^dim: at most %d" % MAX_DIM):
+        algebra_from_document({"dim": MAX_DIM + 1})
 
 
 def test_algebra_schema_errors():

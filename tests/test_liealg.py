@@ -229,9 +229,10 @@ def test_nilradical_matches_reference_on_semidirect_products(l):
 
 def _jacobi_sum(l, i, j, k):
     """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] by brackets."""
-    acc = l.bracket(l.bracket_basis(i, j), l._e(k))
-    acc = linalg.vec_add(acc, l.bracket(l.bracket_basis(j, k), l._e(i)))
-    return linalg.vec_add(acc, l.bracket(l.bracket_basis(k, i), l._e(j)))
+    return [x + y + z for x, y, z in zip(
+        l.bracket(l.bracket_basis(i, j), l._e(k)),
+        l.bracket(l.bracket_basis(j, k), l._e(i)),
+        l.bracket(l.bracket_basis(k, i), l._e(j)))]
 
 
 def _jacobi_reference(l):
@@ -451,6 +452,48 @@ def test_center_and_unimodular_match_bracket_routes():
         assert unimodular == _unimodular_reference(l)
         seen.add((0 < center.dim < l.dim, unimodular))
     assert seen == {(a, b) for a in (False, True) for b in (False, True)}
+
+
+def _bracket_span_reference(l, a, b):
+    """The pairwise Fraction bracket loop that bracket_span replaced."""
+    vecs = [l.bracket(u, v) for u in a.basis for v in b.basis]
+    return Subspace(l.dim, vecs)
+
+
+def _subspaces(rng, l):
+    """0, g, [g,g], the center and two seeded random subspaces of l."""
+    spaces = [Subspace(l.dim), Subspace(l.dim, linalg.identity(l.dim)),
+              l.derived_subalgebra(), l.center()]
+    for _ in range(2):
+        spaces.append(Subspace(l.dim, [
+            [rng.choice(_POOL) for _ in range(l.dim)]
+            for _ in range(rng.randint(1, l.dim))]))
+    return spaces
+
+
+# pairs of _subspaces indices: each zero case, [g,g], the series' steps,
+# and random spaces against g, [g,g] and each other
+_SPAN_PAIRS = [(0, 1), (1, 0), (1, 1), (2, 2), (1, 3), (4, 1), (2, 4),
+               (4, 5), (5, 5)]
+
+
+def test_bracket_span_matches_pairwise_reference():
+    rng = random.Random(59)
+    algebras = [catalog.get(name).algebra for name in catalog.list_names()]
+    algebras += [l.complexify() for l in algebras]
+    algebras += list(_random_tables(59, 200))
+    seen = set()
+    for l in algebras:
+        jacobi = l.jacobi_check().ok
+        spaces = _subspaces(rng, l)
+        for s, t in _SPAN_PAIRS:
+            a, b = spaces[s], spaces[t]
+            got = l.bracket_span(a, b)
+            assert got == _bracket_span_reference(l, a, b), l._table
+            seen.add((a.dim == 0 or b.dim == 0, got.dim == 0, jacobi))
+    # zero and nonzero spans, on tables that do and do not satisfy Jacobi
+    assert seen >= {(True, True, True), (False, False, True),
+                    (False, False, False), (False, True, True)}
 
 
 def _ad_combination_reference(ads, u):

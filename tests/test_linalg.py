@@ -410,7 +410,7 @@ def _intersect_reference(s, other):
         v = [Fraction(0)] * s.ambient
         for c, row in zip(a, s.rows):
             if c:
-                v = linalg.vec_add(v, linalg.vec_scale(c, row))
+                v = [x + c * y for x, y in zip(v, row)]
         vecs.append(v)
     return Subspace(s.ambient, vecs)
 

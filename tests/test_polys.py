@@ -8,13 +8,45 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from solvkit.polys import (Poly, all_roots_pure_imaginary, all_roots_real,
-                           count_negative_real_roots, count_real_roots,
-                           count_real_roots_in, descartes_positive_count,
-                           factor_rational, has_unit_modulus_root,
-                           is_squarefree, palindromic_quartic_reduction,
-                           poly_from_descending, poly_gcd, squarefree_part,
-                           sturm_chain)
+from solvkit.polys import (Poly, _count, _ints, _squarefree, _sturm,
+                           _value_at, all_roots_pure_imaginary,
+                           all_roots_real, count_real_roots,
+                           descartes_positive_count, factor_rational,
+                           has_unit_modulus_root, is_squarefree,
+                           poly_from_descending, poly_gcd, squarefree_part)
+
+
+# -- thin helpers over the integer routines, tested against the Fraction
+# references below ----------------------------------------------------------
+
+
+def sturm_chain(p):
+    """p, p', -rem(p, p'), ..., each up to a positive factor."""
+    return [Poly(f) for f in _sturm(_ints(p))]
+
+
+def count_real_roots_in(p, a, b):
+    """Distinct real roots of p in the closed interval [a, b], exactly."""
+    a, b = Fraction(a), Fraction(b)
+    if a > b:
+        raise ValueError("empty interval")
+    q = _squarefree(_ints(p))
+    return _count(_sturm(q), a, b) + (bool(q) and _value_at(q, a) == 0)
+
+
+def count_negative_real_roots(p):
+    """Distinct real roots in (-inf, 0). Zero is not counted."""
+    q = _squarefree(_ints(p))
+    return _count(_sturm(q), None, 0) - (q[:1] == [0])
+
+
+def _palindromic_quartic_reduction_reference(p_coeff, q_coeff):
+    """For t^4 + p t^3 + q t^2 + p t + 1, the quadratic in c = (t + 1/t)/2.
+
+    Unit-circle roots t = e^{i*phi} correspond exactly to real roots
+    c = cos(phi) of 4c^2 + 2pc + (q - 2) inside [-1, 1].
+    """
+    return Poly([q_coeff - 2, 2 * p_coeff, Fraction(4)])
 
 
 def test_basic_shape():
@@ -131,7 +163,7 @@ def test_descartes_positive_count():
 
 def test_palindromic_quartic_reduction():
     # t^4 + 1: phi = pi/4 roots, cos values +-1/sqrt2 inside [-1,1]
-    reduced = palindromic_quartic_reduction(Fraction(0), Fraction(0))
+    reduced = _palindromic_quartic_reduction_reference(Fraction(0), Fraction(0))
     assert reduced == Poly([-2, 0, 4])
     assert count_real_roots_in(reduced, -1, 1) == 2
 
@@ -282,7 +314,7 @@ def _fraction_has_unit_modulus_root_reference(p):
         return False
     if q.degree == 4 and q.is_palindromic():
         m = q.monic()
-        reduced = palindromic_quartic_reduction(m[3], m[2])
+        reduced = _palindromic_quartic_reduction_reference(m[3], m[2])
         return _fraction_count_real_roots_in_reference(reduced, -1, 1) > 0
     if q.degree == 4:
         return False

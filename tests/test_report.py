@@ -2,7 +2,8 @@
 
 import json
 
-from solvkit import catalog, report
+from solvkit import catalog, cohomology, cxstruct, report
+from solvkit.liealg import LieAlgebra
 
 CORE_CHECKS = ("check_theorem4_catalog", "check_winkelmann_table",
                "check_example6", "check_theorem9_pipeline",
@@ -65,3 +66,26 @@ def test_c10_fresh_pass_shares_no_algebra_with_the_first(monkeypatch):
     assert len(built["first"]) == len(built["fresh"]) > 0
     fresh = {id(a) for a in built["fresh"]}      # all held, so ids are unique
     assert not any(id(a) in fresh for a in built["first"])
+
+
+def test_no_pairwise_bracket_in_a_core_pass_or_h1_or_the_subalgebra(
+        monkeypatch):
+    """The structural answers read the integer adjoints: no LieAlgebra.bracket
+    call in one core pass, nor in winkelmann_h1 or subalgebra_from_j on any
+    catalog entry (the only src callers left are nijenhuis and adjoint)."""
+    calls = []
+    real_bracket = LieAlgebra.bracket
+
+    def counted(self, u, v):
+        calls.append(self.dim)
+        return real_bracket(self, u, v)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    report._core_payload({})
+    for name in catalog.list_names():
+        entry = catalog.get(name)
+        cohomology.winkelmann_h1(entry.algebra, cohomology.HolonomyAction([]))
+        cxstruct.subalgebra_from_j(entry.algebra, entry.j)
+    assert calls == []
+    entry.algebra.adjoint(entry.algebra._e(0))    # the counter does count
+    assert calls
