@@ -13,11 +13,13 @@ rotor direction).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .cxstruct import AlmostComplexStructure, j_from_images, tautological_j
 from .errors import NoGroupLaw, ParamOutOfRange, UnknownName
@@ -72,14 +74,13 @@ class GroupLaw:
         return tuple(out)
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     params: Dict[str, object]
     algebra: LieAlgebra
     j: Optional[AlmostComplexStructure]
     group_law: Optional[GroupLaw]
-    metadata: Dict[str, object] = field(default_factory=dict)
+    metadata: Mapping[str, object] = MappingProxyType({})
 
 
 def _standard_j(dim: int) -> AlmostComplexStructure:
@@ -368,8 +369,7 @@ def group_law_eval(entry: CatalogEntry, p: Sequence, q: Sequence) -> Point:
 # ---------------------------------------------------------------------------
 # finite-difference bridge
 
-@dataclass
-class GroupLawReport:
+class GroupLawReport(NamedTuple):
     constants: List[List[List[float]]]
     invariants: Dict[str, object]
     expected: Dict[str, object]
@@ -467,17 +467,21 @@ def brackets_from_group_law(entry: CatalogEntry, step: float = 1e-4,
 
     h = step
     tensor = np.zeros((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            ea = np.zeros(n)
-            eb = np.zeros(n)
-            ea[a] = 1.0
-            eb[b] = 1.0
-            val = (commutator(h * ea, h * eb) - commutator(h * ea, -h * eb)
-                   - commutator(-h * ea, h * eb) + commutator(-h * ea, -h * eb))
-            tensor[a, b, :] = val / (4.0 * h * h)
+    eye = np.eye(n)
+    try:
+        with np.errstate(all="ignore"):     # a non-finite tensor is refused
+            for a, b in itertools.permutations(range(n), 2):
+                ea, eb = eye[a], eye[b]
+                val = (commutator(h * ea, h * eb)
+                       - commutator(h * ea, -h * eb)
+                       - commutator(-h * ea, h * eb)
+                       + commutator(-h * ea, -h * eb))
+                tensor[a, b, :] = val / (4.0 * h * h)
+    except (OverflowError, ValueError):     # the law overflowed at this step
+        tensor.fill(np.nan)
+    if not np.isfinite(tensor).all():
+        raise ParamOutOfRange("step %r gives a non-finite difference tensor"
+                              % step)
 
     expected = _exact_invariants(entry.algebra)
     got = _numeric_invariants(tensor, rank_tol)

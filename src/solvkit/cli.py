@@ -9,8 +9,8 @@ only the "timings" block varies between runs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -38,11 +38,9 @@ def _write_out(path: str, write: Callable[[TextIO], object]) -> None:
         raise SchemaError("cannot write %s: %s" % (path, e.strerror or e))
 
 
-def _digest_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+def _sha256(data: bytes) -> str:
+    import hashlib      # loaded only by the two commands that take a digest
+    return hashlib.sha256(data).hexdigest()
 
 
 def _parse_param_value(text: str):
@@ -64,6 +62,20 @@ def _nonzero_rational(text: str) -> Fraction:
         pass
     raise argparse.ArgumentTypeError("expected a nonzero rational, got %r"
                                      % text)
+
+
+def _finite_float(ok: Callable[[float], bool],
+                  what: str) -> Callable[[str], float]:
+    """argparse type: a finite float x with ok(x), else exit 2."""
+    def parse(text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if math.isfinite(x) and ok(x):
+            return x
+        raise argparse.ArgumentTypeError("expected %s, got %r" % (what, text))
+    return parse
 
 
 def _collect_params(pairs: Optional[List[str]]) -> dict:
@@ -114,9 +126,11 @@ def cmd_verify_integrable(args) -> int:
     if j is None:
         raise SchemaError("%s: no \"J\" matrix in the document" % args.file)
     rep = cxstruct.is_integrable(alg, j)
+    with open(args.file, "rb") as fh:
+        digest = _sha256(fh.read())
     out = {
         "command": "verify-integrable",
-        "input_digest": _digest_file(args.file),
+        "input_digest": digest,
         "integrable": rep.ok,
     }
     if not rep.ok:
@@ -214,8 +228,7 @@ def cmd_paper_report(args) -> int:
     verdicts = report.run_all(seconds)
     elapsed = time.perf_counter() - started
     names = catalog.list_names()
-    digest = hashlib.sha256(
-        json.dumps(names).encode("utf-8")).hexdigest()
+    digest = _sha256(json.dumps(names).encode("utf-8"))
     out = {
         "command": "paper-report",
         "inputs_digest": digest,
@@ -245,8 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     cross = pcs.add_parser("crosscheck")
     cross.add_argument("name")
     cross.add_argument("--params", action="append", metavar="KEY=VALUE")
-    cross.add_argument("--step", type=float, default=1e-4)
-    cross.add_argument("--rank-tol", type=float, default=1e-6)
+    cross.add_argument("--step", default=1e-4, type=_finite_float(
+        bool, "a finite nonzero number"))
+    cross.add_argument("--rank-tol", default=1e-6, type=_finite_float(
+        lambda x: x >= 0, "a finite number >= 0"))
     pc.set_defaults(func=cmd_catalog)
 
     vi = sub.add_parser("verify-integrable",

@@ -12,9 +12,8 @@ correspondence in both directions, and the round trip is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InternalCheckFailed, NotIntegrable, NotTransverse
@@ -87,8 +86,7 @@ def nijenhuis(l: LieAlgebra, j: AlmostComplexStructure,
     return term
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
+class IntegrabilityReport(NamedTuple):
     ok: bool
     witness: Optional[Tuple[int, int]] = None
     value: Optional[List[Fraction]] = None
@@ -121,8 +119,7 @@ def is_integrable(l: LieAlgebra, j: AlmostComplexStructure) -> IntegrabilityRepo
     return IntegrabilityReport(True)
 
 
-@dataclass(frozen=True)
-class ComplexSubalgebra:
+class ComplexSubalgebra(NamedTuple):
     """A complex subalgebra of a complexification, in real coordinates.
 
     ambient is complexify(L) for the original algebra L of dimension 2m;

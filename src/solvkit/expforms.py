@@ -21,9 +21,8 @@ picks up rho += (m + mbar) Re(w1) and theta += (m - mbar) Im(w1)/pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .cohomology import Cochain, check_key, sort_sign
 from .errors import DegreeTooHigh
@@ -237,8 +236,7 @@ def omega_mc() -> ExpForm:
     return first.add(second).add(third)
 
 
-@dataclass(frozen=True)
-class LatticeTranslation:
+class LatticeTranslation(NamedTuple):
     """Left translation data; only the x-component ever matters.
 
     w1 = w1_re + i pi w1_im_pi. The y and z parts are carried for the

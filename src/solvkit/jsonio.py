@@ -283,13 +283,13 @@ _SEARCH_ENTRY = "\n".join("    " + line for line in json.dumps({
 
 def dump_search_entries(head: dict, entries, fh: TextIO) -> None:
     """Stream dumps_canonical(dict(head, entries=...)) + "\n" to fh, one
-    lattices.SearchEntry (a nonempty list of them) at a time."""
+    lattices.SearchEntry (a nonempty list of them) at a time, each unpacked
+    as the tuple (p, q, classification, reason)."""
     fh.write(dumps_canonical(head)[:-2] + ',\n  "entries": [\n')
-    for t, e in enumerate(entries):
+    for t, (p, q, tag, reason) in enumerate(entries):
         fh.write((",\n" if t else "") + _SEARCH_ENTRY % (
-            e.p, e.q, e.p, e.q, e.p, -e.p, -e.q, -e.p,
-            encode_basestring_ascii(e.classification),
-            encode_basestring_ascii(e.reason)))
+            p, q, p, q, p, -p, -q, -p, encode_basestring_ascii(tag),
+            encode_basestring_ascii(reason)))
     fh.write("\n  ]\n}\n")
 
 

@@ -12,9 +12,8 @@ re-checks those bounds from scratch rather than trusting the builder.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (BoundTooLarge, DegenerateEigenvectors, NoNonRealEigenvalue,
@@ -53,8 +52,7 @@ def char_poly(a: Sequence[Sequence[int]]) -> Poly:
     return linalg.char_poly(a)
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(NamedTuple):
     real_roots: int
     all_real: bool
     unit_modulus_root: bool
@@ -82,8 +80,7 @@ def semisimple_commuting_check(a: Sequence[Sequence[int]],
     return all(is_squarefree(linalg.min_poly(m)) for m in (am, bm))
 
 
-@dataclass
-class LatticeSpec:
+class LatticeSpec(NamedTuple):
     kind: str                                   # "nilpotent" | "non_nilpotent"
     a_matrix: IntMatrix
     b_matrix: Optional[IntMatrix]
@@ -93,7 +90,7 @@ class LatticeSpec:
     classification: str                         # "3a" | "3b" | "n/a"
     residual: float
     independence_margin: float
-    char_polynomial: Poly = field(repr=False, default=None)  # type: ignore
+    char_polynomial: Optional[Poly] = None
 
     def holonomy_generators(self) -> List[IntMatrix]:
         """Exact matrices of the holonomy on the 4-dim quotient space."""
@@ -330,8 +327,7 @@ def companion_palindromic(p: int, q: int) -> IntMatrix:
             [-1, -p, -q, -p]]
 
 
-@dataclass(frozen=True)
-class SearchEntry:
+class SearchEntry(NamedTuple):
     p: int
     q: int
     classification: str        # "3a" | "3b" | "excluded"

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import InternalCheckFailed, NotSolvable
@@ -37,8 +36,7 @@ BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
 MAX_DIM = 64
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(NamedTuple):
     ok: bool
     witness: Optional[Tuple[int, int, int]] = None
     defect: Optional[List[Fraction]] = None

@@ -16,9 +16,8 @@ enough for its per-variable degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .cohomology import Cochain, ce_d
@@ -98,8 +97,7 @@ def signature(gram: Sequence[Sequence[object]]) -> Tuple[int, int]:
     return pos, neg
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
     tag: str  # kahler | pseudo_kahler | degenerate | incompatible | not_closed
     signature: Optional[Tuple[int, int]] = None
 
@@ -130,8 +128,7 @@ def classify(l: LieAlgebra, j: AlmostComplexStructure,
 # -- nonexistence sweep over all invariant forms ------------------------------
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     space_dim: int
     all_degenerate: bool
     method: str                       # "empty" | "common_kernel" | "pfaffian_grid"

@@ -106,6 +106,35 @@ def test_catalog_crosscheck(capsys):
     assert doc["assoc_residual"] <= 1e-9
 
 
+STEP = "argument --step: expected a finite nonzero number, got '%s'"
+RANK_TOL = "argument --rank-tol: expected a finite number >= 0, got '%s'"
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--step", "0", STEP % "0"), ("--step", "inf", STEP % "inf"),
+    ("--step", "nan", STEP % "nan"), ("--step", "abc", STEP % "abc"),
+    # h^2 underflows to 0; at 1e300 the group law itself overflows
+    ("--step", "1e-300",
+     "error: step 1e-300 gives a non-finite difference tensor"),
+    ("--step", "1e300",
+     "error: step 1e+300 gives a non-finite difference tensor"),
+    ("--rank-tol", "nan", RANK_TOL % "nan"),
+    ("--rank-tol", "inf", RANK_TOL % "inf"),
+    ("--rank-tol", "-1", RANK_TOL % "-1"),
+])
+def test_catalog_crosscheck_degenerate_options_exit_2(capsys, option, value,
+                                                      message):
+    try:
+        code = main(["catalog", "crosscheck", "primary-kodaira",
+                     "%s=%s" % (option, value)])
+    except SystemExit as e:  # argparse refuses a bad option value
+        code = e.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err.endswith(message + "\n")
+    assert "Traceback" not in out.err
+
+
 def test_verify_integrable_pass(capsys, tmp_path):
     path = dump_entry(tmp_path, "hyperelliptic")
     code, doc, _ = run_json(capsys, ["verify-integrable", path])

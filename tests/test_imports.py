@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses or defines a
 function nothing reads, the exports of __init__ are the pinned API, the
-exact layers import no source of randomness or environment, and every name
-the benchmark's tracer patches still exists.
+exact layers import no source of randomness or environment, start-up loads
+no module the commands do not need, and every name the benchmark's tracer
+patches still exists and is loaded by `import solvkit.cli`.
 
 Stdlib-ast checks, since no linter is assumed: every name bound by a
 module-level import in src/solvkit/*.py must be read somewhere in that
@@ -14,7 +15,10 @@ must be read there too, exported by __init__ or patched by the tracer.
 import ast
 import collections
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -31,15 +35,23 @@ EXACT = ("scalars", "polys", "linalg", "liealg", "cxstruct", "cohomology",
          "pkforms", "expforms")
 
 
+def import_sites(source: str):
+    """(enclosing module-level function or None, top-level name) of each
+    absolute import anywhere in source."""
+    sites = set()
+    for top in ast.parse(source).body:
+        scope = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                sites.update((scope, a.name.split(".")[0]) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                sites.add((scope, node.module.split(".")[0]))
+    return sites
+
+
 def imported_modules(source: str):
     """Top-level names of the absolute imports anywhere in source."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names.update(a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names.add(node.module.split(".")[0])
-    return names
+    return {name for _, name in import_sites(source)}
 
 
 def unused_imports(source: str):
@@ -168,6 +180,37 @@ def test_exact_layers_neither_sample_nor_read_the_environment(name):
     assert imported_modules(source) & {"random", "os"} == set()
 
 
+def test_no_dataclasses_and_hashlib_only_in_the_digest_helper():
+    """Start-up pays for neither: dataclasses pulls in inspect and ast, and
+    hashlib loads OpenSSL for the two commands that take a digest."""
+    sites = {(path.stem, scope, name) for path in SRC.glob("*.py")
+             for scope, name in import_sites(path.read_text())
+             if name in ("dataclasses", "hashlib")}
+    assert sites == {("cli", "_sha256", "hashlib")}
+
+
+def fresh_interpreter(code: str) -> str:
+    """stdout of `code` run by a new python that imports solvkit from src."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent))).stdout
+
+
+HEAVY = ("dataclasses", "inspect", "ast", "hashlib", "numpy", "sympy")
+
+
+def test_start_up_and_lattice_search_load_no_heavy_module():
+    code = ("import sys\n"
+            "import solvkit.cli\n"
+            "print([m for m in %r if m in sys.modules])\n"
+            "import io, contextlib\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    solvkit.cli.main(['lattice', 'search', '--bound', '5'])\n"
+            "print('hashlib' in sys.modules)\n"
+            % (HEAVY,))
+    assert fresh_interpreter(code) == "[]\nFalse\n"
+
+
 def test_every_name_the_tracer_patches_exists(perfbench):
     """perfbench/tracer.py wraps functions and methods by name and reads
     bracket constants through .re/.im; a rename or a changed table type
@@ -189,3 +232,14 @@ def test_every_name_the_tracer_patches_exists(perfbench):
         assert all(hasattr(c, "re") and hasattr(c, "im")
                    for row in alg._table.values() for c in row.values()), name
         assert tracer._algebra_key(alg)[:2] == (alg.dim, alg.form)
+
+
+def test_importing_cli_loads_every_module_the_tracer_patches(perfbench):
+    """tracer.install() reads sys.modules["solvkit." + layer] right after
+    the worker's `import solvkit.cli`, so a lazy import there would break
+    every traced benchmark run."""
+    layers = sorted(set(perfbench.tracer.TRACED) | {"report", "scalars"})
+    code = ("import sys\nimport solvkit.cli\n"
+            "print([m for m in %r if 'solvkit.' + m not in sys.modules])\n"
+            % (layers,))
+    assert fresh_interpreter(code) == "[]\n"
