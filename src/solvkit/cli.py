@@ -258,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     cross = pcs.add_parser("crosscheck")
     cross.add_argument("name")
     cross.add_argument("--params", action="append", metavar="KEY=VALUE")
+    # the central difference is trusted only near the default step
     cross.add_argument("--step", default=1e-4, type=_finite_float(
-        bool, "a finite nonzero number"))
+        lambda x: 1e-12 <= abs(x) <= 1e-1, "1e-12 <= |step| <= 1e-1"))
     cross.add_argument("--rank-tol", default=1e-6, type=_finite_float(
         lambda x: x >= 0, "a finite number >= 0"))
     pc.set_defaults(func=cmd_catalog)

@@ -94,6 +94,13 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def matrix(self) -> List[List[Union[Fraction, Scalar]]]:
+        """The antisymmetric matrix (omega(e_i, e_j)) of a 2-form omega."""
+        if self.degree != 2:
+            raise ValueError("a 2-form is required")
+        n = self.dim
+        return [[self.coefficient(i, j) for j in range(n)] for i in range(n)]
+
     def __eq__(self, other):
         return (isinstance(other, Cochain)
                 and (self.dim, self.degree) == (other.dim, other.degree)

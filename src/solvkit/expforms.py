@@ -6,9 +6,11 @@ A coefficient is a finite sum of monomials
 
     Scalar * e^{a x + b xbar} * e^{i pi theta} * e^{rho}
 
-with a, b integers and theta, rho rationals. theta lives mod 2 and is
-folded into the Scalar whenever it is a multiple of 1/2 (those phases are
-Gaussian units), so canonical forms are unique and equality is exact.
+with a, b integers and theta, rho rationals. Every operation emits
+(key, monomial, value) terms into one accumulation rule, `_form`: theta is
+taken mod 2 and folded into the Scalar whenever it is a multiple of 1/2
+(those phases are Gaussian units), terms with equal (key, monomial) add,
+and zero sums drop. So canonical forms are unique and equality is exact.
 The rho slot absorbs the real part of translation exponents e^{m w1};
 only integrality of theta is ever decided, so no transcendence questions
 arise.
@@ -21,8 +23,9 @@ picks up rho += (m + mbar) Re(w1) and theta += (m - mbar) Im(w1)/pi.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .cohomology import Cochain, check_key, sort_sign
 from .errors import DegreeTooHigh
@@ -50,25 +53,6 @@ def _fold(mono: Monomial, value: Scalar) -> Tuple[Monomial, Scalar]:
     return (a, b, theta, rho), value
 
 
-def _coef_insert(coef: Coefficient, mono: Monomial, value: Scalar) -> None:
-    mono, value = _fold(mono, value)
-    if not value:
-        return
-    cur = coef.get(mono, Scalar(0)) + value
-    if cur:
-        coef[mono] = cur
-    else:
-        coef.pop(mono, None)
-
-
-def _coef_mul(c1: Coefficient, c2: Coefficient) -> Coefficient:
-    out: Coefficient = {}
-    for (a1, b1, t1, r1), v1 in c1.items():
-        for (a2, b2, t2, r2), v2 in c2.items():
-            _coef_insert(out, (a1 + a2, b1 + b2, t1 + t2, r1 + r2), v1 * v2)
-    return out
-
-
 def unit_coefficient(value=1) -> Coefficient:
     v = sc(value)
     return {UNIT_MONOMIAL: v} if v else {}
@@ -79,6 +63,31 @@ def monomial_coefficient(a: int, b: int, value=1) -> Coefficient:
     return {(a, b, Fraction(0), Fraction(0)): v} if v else {}
 
 
+# one term of a form: (key, monomial, value)
+Term = Tuple[Tuple[int, ...], Monomial, Scalar]
+
+
+def _form(degree: int, terms: Iterable[Term]) -> "ExpForm":
+    """The form that `terms` sum to, by the rule in the module docstring."""
+    sums: Dict[Tuple[Tuple[int, ...], Monomial], Scalar] = {}
+    for key, mono, value in terms:
+        mono, value = _fold(mono, value)
+        sums[key, mono] = sums.get((key, mono), 0) + value
+    form = ExpForm.__new__(ExpForm)
+    form.degree = degree
+    form.terms = {}
+    for (key, mono), value in sums.items():
+        if value:
+            form.terms.setdefault(key, {})[mono] = value
+    return form
+
+
+def _terms(f: "ExpForm") -> Iterator[Term]:
+    for key, coef in f.terms.items():
+        for mono, value in coef.items():
+            yield key, mono, value
+
+
 class ExpForm:
     """Exterior form with exponential-monomial coefficients, degree 0..6."""
 
@@ -87,16 +96,12 @@ class ExpForm:
         if degree < 0 or degree > NGEN:
             raise DegreeTooHigh("form degree %d out of range" % degree)
         self.degree = degree
-        self.terms: Dict[Tuple[int, ...], Coefficient] = {}
-        for key, coef in (terms or {}).items():
-            key = check_key(key, degree, NGEN)
-            clean: Coefficient = {}
-            for mono, val in coef.items():
-                a, b, theta, rho = mono
-                _coef_insert(clean, (int(a), int(b), Fraction(theta),
-                                     Fraction(rho)), sc(val))
-            if clean:
-                self.terms[key] = clean
+        terms = terms or {}
+        keys = [check_key(key, degree, NGEN) for key in terms]
+        self.terms = _form(degree, (
+            (key, (int(a), int(b), Fraction(theta), Fraction(rho)), sc(value))
+            for key, coef in zip(keys, terms.values())
+            for (a, b, theta, rho), value in coef.items())).terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -104,52 +109,30 @@ class ExpForm:
     def add(self, other: "ExpForm") -> "ExpForm":
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        out = {k: dict(v) for k, v in self.terms.items()}
-        for key, coef in other.terms.items():
-            tgt = out.setdefault(key, {})
-            for mono, val in coef.items():
-                _coef_insert(tgt, mono, val)
-            if not tgt:
-                out.pop(key)
-        return ExpForm(self.degree, out)
+        return _form(self.degree, itertools.chain(_terms(self), _terms(other)))
 
     def negate(self) -> "ExpForm":
         return self.scale(Scalar(-1))
 
     def scale(self, factor) -> "ExpForm":
         f = sc(factor)
-        out: Dict[Tuple[int, ...], Coefficient] = {}
-        if f:
-            for key, coef in self.terms.items():
-                out[key] = {m: f * v for m, v in coef.items()}
-        return ExpForm(self.degree, out)
-
-    def scale_coefficient(self, coef: Coefficient) -> "ExpForm":
-        out: Dict[Tuple[int, ...], Coefficient] = {}
-        for key, own in self.terms.items():
-            prod = _coef_mul(own, coef)
-            if prod:
-                out[key] = prod
-        return ExpForm(self.degree, out)
+        return _form(self.degree, ((key, mono, f * value)
+                                   for key, mono, value in _terms(self)))
 
     def wedge(self, other: "ExpForm") -> "ExpForm":
-        deg = self.degree + other.degree
-        if deg > NGEN:
-            return ExpForm(NGEN)  # forced zero: not enough generators
-        out: Dict[Tuple[int, ...], Coefficient] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                merged = sort_sign(k1 + k2)
-                if merged is None:
-                    continue
-                key, sign = merged
-                prod = _coef_mul(c1, c2)
-                tgt = out.setdefault(key, {})
-                for mono, val in prod.items():
-                    _coef_insert(tgt, mono, val if sign == 1 else -val)
-                if not tgt:
-                    out.pop(key)
-        return ExpForm(deg, out)
+        def terms() -> Iterator[Term]:
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    merged = sort_sign(k1 + k2)
+                    if merged is None:
+                        continue
+                    key, sign = merged
+                    for (a1, b1, t1, r1), v1 in c1.items():
+                        for (a2, b2, t2, r2), v2 in c2.items():
+                            yield (key, (a1 + a2, b1 + b2, t1 + t2, r1 + r2),
+                                   v1 * v2 * sign)
+        # past NGEN every product repeats a generator, so the form is zero
+        return _form(min(self.degree + other.degree, NGEN), terms())
 
     def __eq__(self, other):
         return (isinstance(other, ExpForm) and self.degree == other.degree
@@ -173,22 +156,16 @@ def ext_d(f: ExpForm) -> ExpForm:
     """Exterior derivative: d(e^{ax+b xbar}) = e^{..}(a dx + b dxbar)."""
     if f.degree >= NGEN:
         raise DegreeTooHigh("d of a degree-%d form is out of scope" % f.degree)
-    out: Dict[Tuple[int, ...], Coefficient] = {}
-    for key, coef in f.terms.items():
-        for mono, val in coef.items():
-            a, b, _theta, _rho = mono
-            for gen, weight in ((0, a), (1, b)):
-                # d(f e^key) = sum over gen of (df/dgen) e^gen ^ e^key
+
+    def terms() -> Iterator[Term]:
+        # d(f e^key) = sum over gen of (df/dgen) e^gen ^ e^key
+        for key, mono, value in _terms(f):
+            for gen, weight in ((0, mono[0]), (1, mono[1])):
                 merged = sort_sign((gen,) + key) if weight else None
-                if merged is None:
-                    continue
-                new_key, sign = merged
-                term_val = val * Scalar(weight)
-                tgt = out.setdefault(new_key, {})
-                _coef_insert(tgt, mono, term_val if sign == 1 else -term_val)
-                if not tgt:
-                    out.pop(new_key)
-    return ExpForm(f.degree + 1, out)
+                if merged is not None:
+                    new_key, sign = merged
+                    yield new_key, mono, value * (weight * sign)
+    return _form(f.degree + 1, terms())
 
 
 _CONJ_SWAP = (1, 0, 3, 2, 5, 4)
@@ -196,17 +173,12 @@ _CONJ_SWAP = (1, 0, 3, 2, 5, 4)
 
 def conjugate_form(f: ExpForm) -> ExpForm:
     """Complex conjugation: swaps barred and unbarred generators."""
-    out: Dict[Tuple[int, ...], Coefficient] = {}
-    for key, coef in f.terms.items():
-        new_key, sign = sort_sign([_CONJ_SWAP[g] for g in key])
-        tgt = out.setdefault(new_key, {})
-        for (a, b, theta, rho), val in coef.items():
-            cval = val.conjugate()
-            _coef_insert(tgt, (b, a, -theta, rho),
-                         cval if sign == 1 else -cval)
-        if not tgt:
-            out.pop(new_key)
-    return ExpForm(f.degree, out)
+    def terms() -> Iterator[Term]:
+        for key, coef in f.terms.items():
+            new_key, sign = sort_sign([_CONJ_SWAP[g] for g in key])
+            for (a, b, theta, rho), value in coef.items():
+                yield new_key, (b, a, -theta, rho), value.conjugate() * sign
+    return _form(f.degree, terms())
 
 
 def omega_coordinate() -> ExpForm:
@@ -231,8 +203,8 @@ def omega_mc() -> ExpForm:
     w1, w2, w3 = maurer_cartan_forms()
     w1b, w2b, w3b = (conjugate_form(w) for w in (w1, w2, w3))
     first = w1.wedge(w1b).scale(Scalar(0, 1))
-    second = w2.wedge(w3b).scale_coefficient(monomial_coefficient(-1, 1))
-    third = w2b.wedge(w3).scale_coefficient(monomial_coefficient(1, -1))
+    second = w2.wedge(w3b).wedge(form_term((), monomial_coefficient(-1, 1)))
+    third = w2b.wedge(w3).wedge(form_term((), monomial_coefficient(1, -1)))
     return first.add(second).add(third)
 
 
@@ -264,20 +236,17 @@ _W1BAR_WEIGHT = {3: 1, 5: -1}   # dybar, dzbar
 def pullback_translation(f: ExpForm, t: LatticeTranslation) -> ExpForm:
     w1_re = Fraction(t.w1_re)
     w1_im = Fraction(t.w1_im_pi)
-    out: Dict[Tuple[int, ...], Coefficient] = {}
-    for key, coef in f.terms.items():
-        key_m = sum(_W1_WEIGHT.get(g, 0) for g in key)
-        key_mbar = sum(_W1BAR_WEIGHT.get(g, 0) for g in key)
-        tgt = out.setdefault(key, {})
-        for (a, b, theta, rho), val in coef.items():
-            m = a + key_m
-            mbar = b + key_mbar
-            new_rho = rho + (m + mbar) * w1_re
-            new_theta = theta + (m - mbar) * w1_im
-            _coef_insert(tgt, (a, b, new_theta, new_rho), val)
-        if not tgt:
-            out.pop(key)
-    return ExpForm(f.degree, out)
+
+    def terms() -> Iterator[Term]:
+        for key, coef in f.terms.items():
+            key_m = sum(_W1_WEIGHT.get(g, 0) for g in key)
+            key_mbar = sum(_W1BAR_WEIGHT.get(g, 0) for g in key)
+            for (a, b, theta, rho), value in coef.items():
+                m = a + key_m
+                mbar = b + key_mbar
+                yield (key, (a, b, theta + (m - mbar) * w1_im,
+                             rho + (m + mbar) * w1_re), value)
+    return _form(f.degree, terms())
 
 
 def theorem9_checks() -> Dict[str, object]:
@@ -326,37 +295,16 @@ def restrict_identity(f: ExpForm) -> Cochain:
     if f.degree > 3:
         raise DegreeTooHigh("restriction implemented through degree 3")
     acc: Dict[Tuple[int, ...], Scalar] = {}
-    for key, coef in f.terms.items():
-        total = Scalar(0)
-        for (a, b, theta, rho), val in coef.items():
-            if theta != 0 or rho != 0:
-                raise ValueError("coefficient has a non-unit phase tag")
-            total = total + val
-        if not total:
-            continue
-        if not key:
-            cur = acc.get((), Scalar(0)) + total
-            if cur:
-                acc[()] = cur
-            else:
-                acc.pop((), None)
-            continue
+    for key, (_a, _b, theta, rho), value in _terms(f):
+        if theta != 0 or rho != 0:
+            raise ValueError("coefficient has a non-unit phase tag")
         # expand each complex generator into its two real components
-        expansions = [_REAL_EXPANSION[g] for g in key]
-        for mask in range(1 << len(key)):
-            real_idx = []
-            factor = total
-            for t in range(len(key)):
-                idx, weight = expansions[t][(mask >> t) & 1]
-                real_idx.append(idx)
-                factor = factor * weight
-            merged = sort_sign(real_idx)
+        for choice in itertools.product(*(_REAL_EXPANSION[g] for g in key)):
+            merged = sort_sign([idx for idx, _ in choice])
             if merged is None:
                 continue
-            skey, sign = merged
-            cur = acc.get(skey, Scalar(0)) + (factor if sign == 1 else -factor)
-            if cur:
-                acc[skey] = cur
-            else:
-                acc.pop(skey, None)
+            real_key, real_value = merged[0], value * merged[1]
+            for _, weight in choice:
+                real_value = real_value * weight
+            acc[real_key] = acc.get(real_key, 0) + real_value
     return Cochain(6, f.degree, acc)

@@ -36,20 +36,13 @@ class TwoForm(Cochain):
         if any(isinstance(v, Scalar) for v in self.coeffs.values()):
             raise ValueError("TwoForm coefficients must be real")
 
-    def matrix(self) -> List[List[Fraction]]:
-        n = self.dim
-        return [[self.coefficient(i, j) for j in range(n)] for i in range(n)]
-
 
 def _gram(omega: Cochain, j: AlmostComplexStructure) -> List[List[Fraction]]:
     """G[i][k] = omega(e_i, J e_k): the matrix of omega times J."""
-    if omega.degree != 2:
-        raise ValueError("a 2-form is required")
+    form = omega.matrix()
     if omega.dim != j.dim:
         raise ValueError("dimension mismatch")
-    n = omega.dim
-    return linalg.mat_mul([[omega.coefficient(i, m) for m in range(n)]
-                           for i in range(n)], j.matrix)
+    return linalg.mat_mul(form, j.matrix)
 
 
 def _is_symmetric(m: List[List[Fraction]]) -> bool:

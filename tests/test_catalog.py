@@ -1,6 +1,7 @@
 """Built-in families: structure checks, parameters, and group laws."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -126,3 +127,13 @@ def test_recovered_brackets_match():
         assert rep.invariants_match, name
         assert rep.assoc_residual <= 1e-9, name
         assert rep.invariants == rep.expected, name
+
+
+@pytest.mark.parametrize("step, shown", [(1e-300, "1e-300"),
+                                         (1e300, "1e+300")])
+def test_group_law_step_with_a_non_finite_tensor_is_refused(step, shown):
+    # h^2 underflows to 0; at 1e300 the Kodaira law itself overflows. The
+    # CLI refuses both steps first; this guard is for library callers.
+    message = "step %s gives a non-finite difference tensor" % shown
+    with pytest.raises(ParamOutOfRange, match=re.escape(message)):
+        brackets_from_group_law(get("primary-kodaira"), step=step)

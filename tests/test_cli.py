@@ -106,18 +106,17 @@ def test_catalog_crosscheck(capsys):
     assert doc["assoc_residual"] <= 1e-9
 
 
-STEP = "argument --step: expected a finite nonzero number, got '%s'"
+STEP = "argument --step: expected 1e-12 <= |step| <= 1e-1, got '%s'"
 RANK_TOL = "argument --rank-tol: expected a finite number >= 0, got '%s'"
 
 
 @pytest.mark.parametrize("option, value, message", [
     ("--step", "0", STEP % "0"), ("--step", "inf", STEP % "inf"),
     ("--step", "nan", STEP % "nan"), ("--step", "abc", STEP % "abc"),
-    # h^2 underflows to 0; at 1e300 the group law itself overflows
-    ("--step", "1e-300",
-     "error: step 1e-300 gives a non-finite difference tensor"),
-    ("--step", "1e300",
-     "error: step 1e+300 gives a non-finite difference tensor"),
+    ("--step", "1e-300", STEP % "1e-300"), ("--step", "1e300", STEP % "1e300"),
+    # finite steps at which the central difference reads a valid algebra
+    # as failing: nonnilpotent3 below 1e-16, the periodic laws at 2 and 10
+    ("--step", "1e-17", STEP % "1e-17"), ("--step", "2", STEP % "2"),
     ("--rank-tol", "nan", RANK_TOL % "nan"),
     ("--rank-tol", "inf", RANK_TOL % "inf"),
     ("--rank-tol", "-1", RANK_TOL % "-1"),
@@ -133,6 +132,14 @@ def test_catalog_crosscheck_degenerate_options_exit_2(capsys, option, value,
     assert (code, out.out) == (2, "")
     assert out.err.endswith(message + "\n")
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("name, step", [("nonnilpotent3", "1e-12"),
+                                        ("example3", "-1e-1")])
+def test_catalog_crosscheck_step_range_ends_pass(capsys, name, step):
+    code, doc, _ = run_json(capsys, ["catalog", "crosscheck", name,
+                                     "--step=" + step])
+    assert (code, doc["status"]) == (0, "pass")
 
 
 def test_verify_integrable_pass(capsys, tmp_path):
@@ -591,6 +598,18 @@ def test_paper_report(paper_report):
     passing = [k for k, v in by_id.items() if v == "pass"]
     assert len(passing) == 9
     assert stored == doc
+
+
+GOLDEN_VERDICTS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "golden",
+    "paper-report-verdicts.json")
+
+
+def test_paper_report_verdicts_equal_the_golden_file(paper_report):
+    _, doc, _ = paper_report
+    with open(GOLDEN_VERDICTS, "rb") as fh:
+        golden = fh.read()
+    assert (jsonio.dumps_canonical(doc["verdicts"]) + "\n").encode() == golden
 
 
 def test_paper_report_timings_per_check(paper_report):

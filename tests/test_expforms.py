@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from solvkit import expforms
+from solvkit.cohomology import Cochain, sort_sign
 from solvkit.errors import DegreeTooHigh
 from solvkit.expforms import (ExpForm, LatticeTranslation, conjugate_form,
                               ext_d, form_term, maurer_cartan_forms,
@@ -182,3 +183,262 @@ def test_restrict_identity_linear():
     assert a.degree == 2 and b.degree == 1
     # dx ^ dxbar = -2i xi0 ^ xi3
     assert {k: str(v) for k, v in a.coeffs.items()} == {(0, 3): "-2*i"}
+
+
+# -- the route before the one accumulation rule, kept as an oracle ------------
+#
+# Each operation inserted its terms by hand into nested {key: {monomial:
+# Scalar}} dicts through _coef_insert_reference. The references below return
+# that dict, so they check expforms._form without going through it.
+
+
+def _coef_insert_reference(coef, mono, value):
+    mono, value = expforms._fold(mono, value)
+    if not value:
+        return
+    cur = coef.get(mono, Scalar(0)) + value
+    if cur:
+        coef[mono] = cur
+    else:
+        coef.pop(mono, None)
+
+
+def _coef_mul_reference(c1, c2):
+    out = {}
+    for (a1, b1, t1, r1), v1 in c1.items():
+        for (a2, b2, t2, r2), v2 in c2.items():
+            _coef_insert_reference(out, (a1 + a2, b1 + b2, t1 + t2, r1 + r2),
+                                   v1 * v2)
+    return out
+
+
+def _add_reference(f, g):
+    out = {k: dict(v) for k, v in f.terms.items()}
+    for key, coef in g.terms.items():
+        tgt = out.setdefault(key, {})
+        for mono, val in coef.items():
+            _coef_insert_reference(tgt, mono, val)
+        if not tgt:
+            out.pop(key)
+    return out
+
+
+def _scale_reference(f, factor):
+    return {key: {m: factor * v for m, v in coef.items()}
+            for key, coef in f.terms.items()} if factor else {}
+
+
+def _scale_coefficient_reference(f, coef):
+    out = {}
+    for key, own in f.terms.items():
+        prod = _coef_mul_reference(own, coef)
+        if prod:
+            out[key] = prod
+    return out
+
+
+def _wedge_reference(f, g):
+    if f.degree + g.degree > expforms.NGEN:
+        return {}
+    out = {}
+    for k1, c1 in f.terms.items():
+        for k2, c2 in g.terms.items():
+            merged = sort_sign(k1 + k2)
+            if merged is None:
+                continue
+            key, sign = merged
+            prod = _coef_mul_reference(c1, c2)
+            tgt = out.setdefault(key, {})
+            for mono, val in prod.items():
+                _coef_insert_reference(tgt, mono, val if sign == 1 else -val)
+            if not tgt:
+                out.pop(key)
+    return out
+
+
+def _ext_d_reference(f):
+    out = {}
+    for key, coef in f.terms.items():
+        for mono, val in coef.items():
+            a, b, _theta, _rho = mono
+            for gen, weight in ((0, a), (1, b)):
+                merged = sort_sign((gen,) + key) if weight else None
+                if merged is None:
+                    continue
+                new_key, sign = merged
+                term_val = val * Scalar(weight)
+                tgt = out.setdefault(new_key, {})
+                _coef_insert_reference(tgt, mono,
+                                       term_val if sign == 1 else -term_val)
+                if not tgt:
+                    out.pop(new_key)
+    return out
+
+
+def _conjugate_form_reference(f):
+    swap = (1, 0, 3, 2, 5, 4)
+    out = {}
+    for key, coef in f.terms.items():
+        new_key, sign = sort_sign([swap[g] for g in key])
+        tgt = out.setdefault(new_key, {})
+        for (a, b, theta, rho), val in coef.items():
+            cval = val.conjugate()
+            _coef_insert_reference(tgt, (b, a, -theta, rho),
+                                   cval if sign == 1 else -cval)
+        if not tgt:
+            out.pop(new_key)
+    return out
+
+
+def _pullback_translation_reference(f, t):
+    w1_weight = {2: 1, 4: -1}
+    w1bar_weight = {3: 1, 5: -1}
+    out = {}
+    for key, coef in f.terms.items():
+        key_m = sum(w1_weight.get(g, 0) for g in key)
+        key_mbar = sum(w1bar_weight.get(g, 0) for g in key)
+        tgt = out.setdefault(key, {})
+        for (a, b, theta, rho), val in coef.items():
+            m = a + key_m
+            mbar = b + key_mbar
+            _coef_insert_reference(
+                tgt, (a, b, theta + (m - mbar) * Fraction(t.w1_im_pi),
+                      rho + (m + mbar) * Fraction(t.w1_re)), val)
+        if not tgt:
+            out.pop(key)
+    return out
+
+
+def _restrict_identity_reference(f):
+    expansion = expforms._REAL_EXPANSION
+    acc = {}
+    for key, coef in f.terms.items():
+        total = Scalar(0)
+        for (a, b, theta, rho), val in coef.items():
+            if theta != 0 or rho != 0:
+                raise ValueError("coefficient has a non-unit phase tag")
+            total = total + val
+        if not total:
+            continue
+        if not key:
+            cur = acc.get((), Scalar(0)) + total
+            if cur:
+                acc[()] = cur
+            else:
+                acc.pop((), None)
+            continue
+        expansions = [expansion[g] for g in key]
+        for mask in range(1 << len(key)):
+            real_idx = []
+            factor = total
+            for t in range(len(key)):
+                idx, weight = expansions[t][(mask >> t) & 1]
+                real_idx.append(idx)
+                factor = factor * weight
+            merged = sort_sign(real_idx)
+            if merged is None:
+                continue
+            skey, sign = merged
+            cur = acc.get(skey, Scalar(0)) + (factor if sign == 1 else -factor)
+            if cur:
+                acc[skey] = cur
+            else:
+                acc.pop(skey, None)
+    return Cochain(6, f.degree, acc)
+
+
+# phases that fold to a Gaussian unit, and ones that stay symbolic (1/3 and
+# 5/6 differ by 1/2, so a common shift can fold both onto one monomial)
+_THETAS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+           Fraction(1, 3), Fraction(5, 6))
+
+
+def _rand_phased_form(rng, degree, untagged=False):
+    """A form whose terms carry folding and non-folding phases, monomials
+    that collide, and partner terms that cancel it in part."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = tuple(sorted(rng.sample(range(6), degree)))
+        coef = terms.setdefault(key, {})
+        theta = Fraction(0) if untagged else rng.choice(_THETAS)
+        mono = (rng.randint(-1, 1), rng.randint(-1, 1), theta, Fraction(0))
+        value = Scalar(rng.randint(-2, 2), rng.randint(-2, 2))
+        coef[mono] = coef.get(mono, Scalar(0)) + value
+        if not untagged and rng.random() < 0.3:
+            # e^{i pi (theta + 1)} value folds to -e^{i pi theta} value
+            coef[mono[:2] + (theta + 1, Fraction(0))] = value
+    return ExpForm(degree, terms)
+
+
+def _rand_translation(rng):
+    return LatticeTranslation(
+        w1_re=Fraction(rng.randint(-2, 2), rng.choice((1, 2))),
+        w1_im_pi=rng.choice(_THETAS + (Fraction(2, 3), Fraction(-1, 2))))
+
+
+def _assert_canonical(f):
+    for key, coef in f.terms.items():
+        assert coef, key
+        for (a, b, theta, rho), value in coef.items():
+            assert type(a) is int and type(b) is int
+            assert type(theta) is Fraction and type(rho) is Fraction
+            assert isinstance(value, Scalar) and value
+            assert theta == 0 or (0 < theta < 2
+                                  and (2 * theta).denominator != 1)
+
+
+def _assert_matches(got, degree, reference):
+    _assert_canonical(got)
+    assert got.degree == degree
+    assert got.terms == reference
+
+
+def test_operations_match_the_reference_route():
+    rng = random.Random(89)
+    zeros = 0
+    for _ in range(150):
+        d1, d2 = rng.randint(0, 3), rng.randint(0, 3)
+        f, g = _rand_phased_form(rng, d1), _rand_phased_form(rng, d2)
+        h = _rand_phased_form(rng, d1)
+        t = _rand_translation(rng)
+        moved = pullback_translation(f, t)
+        for form in (f, g, h, moved):
+            _assert_canonical(form)
+        _assert_matches(f.add(h), d1, _add_reference(f, h))
+        _assert_matches(f.add(f.negate()), d1, {})
+        _assert_matches(moved.add(h), d1, _add_reference(moved, h))
+        factor = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+        _assert_matches(f.scale(factor), d1, _scale_reference(f, factor))
+        _assert_matches(f.negate(), d1, _scale_reference(f, Scalar(-1)))
+        for x, y in ((f, g), (moved, g), (g, moved), (f, f)):
+            _assert_matches(x.wedge(y), min(x.degree + y.degree, 6),
+                            _wedge_reference(x, y))
+        coef = moved.terms.get(next(iter(moved.terms), None), {})
+        _assert_matches(g.wedge(form_term((), coef)), d2,
+                        _scale_coefficient_reference(g, coef))
+        for x in (f, moved):
+            _assert_matches(ext_d(x), x.degree + 1, _ext_d_reference(x))
+            _assert_matches(conjugate_form(x), x.degree,
+                            _conjugate_form_reference(x))
+            _assert_matches(pullback_translation(x, t), x.degree,
+                            _pullback_translation_reference(x, t))
+        zeros += f.add(h).is_zero() + f.wedge(g).is_zero()
+    assert zeros  # some sums cancel outright
+
+
+def test_restrict_identity_matches_the_reference_route():
+    rng = random.Random(97)
+    for _ in range(150):
+        degree = rng.randint(0, 3)
+        f = _rand_phased_form(rng, degree, untagged=True)
+        assert restrict_identity(f) == _restrict_identity_reference(f)
+        summed = f.add(_rand_phased_form(rng, degree, untagged=True))
+        assert restrict_identity(summed) == _restrict_identity_reference(summed)
+        tagged = pullback_translation(f, _rand_translation(rng))
+        try:
+            want = _restrict_identity_reference(tagged)
+        except ValueError:
+            with pytest.raises(ValueError):
+                restrict_identity(tagged)
+        else:
+            assert restrict_identity(tagged) == want
