@@ -31,8 +31,8 @@ from .scalars import Scalar, exact, sc
 BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
 
 # Largest dim read from a document or a catalog parameter. On a 2-core
-# machine h1 at dim 64 took 0.5 s on an abelian table and 2-5 s on sparse
-# ones (Heisenberg, R x_N R^63), growing about as dim^3.5.
+# machine h1 at dim 63-64 took 0.3-0.5 s (abelian, Heisenberg, diagonal)
+# and 0.6-1.0 s (rotation blocks; R x_N R^63, growing about as dim^2.8).
 MAX_DIM = 64
 
 
@@ -203,24 +203,33 @@ class LieAlgebra:
     def nilradical_solvable(self) -> Subspace:
         """Nilradical of a solvable algebra: the set {v : ad(v) nilpotent}.
 
-        One trace cut gives it. Let A be the unital associative algebra
-        generated by ad(g), and S = {x : tr(M ad(x)) = 0 for all M in A}.
-        If ad(x) is nilpotent, Lie's theorem makes A upper triangular over
-        C with ad(x) strictly upper triangular, so x is in S. If x is in S,
-        taking M = ad(x)^(k-1) gives tr(ad(x)^k) = 0 for every k >= 1, so
-        ad(x) is nilpotent by Newton's identities. Scaling every bracket by
-        the lcm of the denominators of the structure constants changes
-        neither A's span nor S, so the closure, the traces and the checks
-        run on int matrices. The result is validated post hoc.
+        Over C, Lie's theorem makes ad(g) triangular with weights lambda_k,
+        linear forms whose common kernel is the nilradical, and
+        tr(ad(x) ad(y)^j) = sum_k lambda_k(x) lambda_k(y)^j. So the trace cut
+        S_y = {x : tr(ad(x) ad(y)^j) = 0 for all j >= 0} holds the nilradical
+        and, by Vandermonde, equals it when y separates the distinct weights.
+        _validate_nilradical checks each basis vector's ad for nilpotency, so
+        a y that passes gives the exact answer and one that fails gives way
+        to the next. For y_t = sum_k (k+1)^t e_k and weights lambda_a !=
+        lambda_b, the real or imaginary part of the exponential sum
+        (lambda_a - lambda_b)(y_t) in t has at most n - 1 real zeros, so one
+        of the first (n - 1) C(n, 2) + 1 tries separates all C(n, 2) pairs.
+        Y = s ad(y) on the integer adjoints scales each trace by s^(j+1) > 0.
         """
         n = self.dim
         ads = self._integer_adjoints[1]
         if not self.is_solvable():
             raise NotSolvable("nilradical computation requires a solvable algebra")
-        rows = linalg.mat_mul(_unital_closure(ads), _trace_columns(ads))
-        space = Subspace(n, linalg.nullspace(rows))
-        self._validate_nilradical(space)
-        return space
+        traces = _trace_columns(ads)
+        for t in range(1, (n - 1) * n * (n - 1) // 2 + 2):
+            y = linalg.mat_comb([(k + 1) ** t for k in range(n)], ads)
+            space = Subspace(n, linalg.nullspace(linalg.mat_mul(_power_basis(y), traces)))
+            try:
+                self._validate_nilradical(space)
+                return space
+            except InternalCheckFailed as exc:
+                failure = exc
+        raise failure
 
     @functools.cached_property
     def _integer_adjoints(self) -> Tuple[int, List[List[List[int]]]]:
@@ -361,26 +370,16 @@ def _trace_columns(ads: List[List[List[int]]]) -> List[List[int]]:
     return [[a[k][j] for a in ads] for j in range(n) for k in range(n)]
 
 
-def _unital_closure(gens: List[List[List[int]]]) -> List[List[int]]:
-    """Basis of the unital associative algebra generated by int matrices.
-
-    Each element, flattened, goes through linalg.echelon_add, so the basis
-    is of primitive int rows. Products are taken of these rows, which span
-    the same algebra as the words in the generators.
-    """
-    n = len(gens[0])
+def _power_basis(m: List[List[int]]) -> List[List[int]]:
+    """Primitive int rows spanning I, m, m^2, ... flattened: each row is the
+    last times m, through linalg.echelon_add, until a power reduces to 0."""
+    n = len(m)
     echelon: List[Tuple[int, List[int]]] = []
-
-    def add(m: List[List[int]]) -> Optional[List[int]]:
-        return linalg.echelon_add(echelon, [x for row in m for x in row])
-
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    frontier = [r for r in map(add, [unit] + gens) if r is not None]
-    while frontier:
-        products = (linalg.mat_mul([r[i * n:(i + 1) * n] for i in range(n)], g)
-                    for r in frontier for g in gens)
-        frontier = [r for r in map(add, products) if r is not None]
-    return [row for _, row in echelon]
+    row = linalg.echelon_add(echelon, [int(i == j) for i in range(n) for j in range(n)])
+    while row is not None:
+        prod = linalg.mat_mul([row[i * n:(i + 1) * n] for i in range(n)], m)
+        row = linalg.echelon_add(echelon, [x for r in prod for x in r])
+    return [r for _, r in echelon]
 
 
 def realify_complex_brackets(cdim: int, brackets: Dict[Tuple[int, int], Dict[int, object]],

@@ -142,6 +142,22 @@ def test_catalog_crosscheck_step_range_ends_pass(capsys, name, step):
     assert (code, doc["status"]) == (0, "pass")
 
 
+def test_catalog_crosscheck_negative_step_takes_the_equals_form(capsys):
+    """argparse reads a bare -1e-4 as an option (its negative-number pattern
+    has no exponent), so a negative step is written --step=-1e-4."""
+    code, doc, _ = run_json(capsys, ["catalog", "crosscheck", "primary-kodaira",
+                                     "--step=-1e-4"])
+    assert (code, doc["status"]) == (0, "pass")
+    try:
+        code = main(["catalog", "crosscheck", "primary-kodaira", "--step", "-1e-4"])
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err.endswith("argument --step: expected one argument\n")
+    assert "Traceback" not in out.err
+
+
 def test_verify_integrable_pass(capsys, tmp_path):
     path = dump_entry(tmp_path, "hyperelliptic")
     code, doc, _ = run_json(capsys, ["verify-integrable", path])

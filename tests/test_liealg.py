@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from solvkit import catalog, linalg
 from solvkit.errors import InternalCheckFailed, NotSolvable
-from solvkit.liealg import (JacobiReport, LieAlgebra, is_nilpotent_matrix,
-                            realify_complex_brackets)
+from solvkit.liealg import (JacobiReport, LieAlgebra, _trace_columns,
+                            is_nilpotent_matrix, realify_complex_brackets)
 from solvkit.linalg import Subspace
 from solvkit.polys import all_roots_pure_imaginary, all_roots_real
 from solvkit.scalars import Scalar
@@ -180,10 +180,47 @@ def _semidirect(d):
         for j in range(k)})
 
 
+def _unital_closure(gens):
+    """Basis of the unital associative algebra generated by int matrices.
+
+    Each element, flattened, goes through linalg.echelon_add, so the basis
+    is of primitive int rows. Products are taken of these rows, which span
+    the same algebra as the words in the generators.
+    """
+    n = len(gens[0])
+    echelon = []
+
+    def add(m):
+        return linalg.echelon_add(echelon, [x for row in m for x in row])
+
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    frontier = [r for r in map(add, [unit] + gens) if r is not None]
+    while frontier:
+        products = (linalg.mat_mul([r[i * n:(i + 1) * n] for i in range(n)], g)
+                    for r in frontier for g in gens)
+        frontier = [r for r in map(add, products) if r is not None]
+    return [row for _, row in echelon]
+
+
+def _closure_nilradical_reference(l):
+    """The one-shot route that the powers of one ad(y) replaced: the trace
+    cut against the unital closure of all n integer adjoints."""
+    ads = l._integer_adjoints[1]
+    rows = linalg.mat_mul(_unital_closure(ads), _trace_columns(ads))
+    return Subspace(l.dim, linalg.nullspace(rows))
+
+
+def _assert_nilradical_matches_references(l, label=None):
+    nil = l.nilradical_solvable()
+    assert nil == _closure_nilradical_reference(l), label
+    assert nil == _nilradical_reference(l), label
+
+
 def test_nilradical_matches_reference_on_catalog():
     for name in catalog.list_names():
         l = catalog.get(name).algebra
-        assert l.nilradical_solvable() == _nilradical_reference(l), name
+        _assert_nilradical_matches_references(l, name)
+        _assert_nilradical_matches_references(l.complexify(), name)
 
 
 H, T = Fraction(1, 2), Fraction(-2, 3)
@@ -221,10 +258,55 @@ def _semidirect_algebras(draw):
     return _semidirect(d)
 
 
+@st.composite
+def _transported_type_algebras(draw):
+    """One algebra of a _type_stream round, written in a random basis."""
+    rng = draw(st.randoms(use_true_random=False))
+    base = draw(st.sampled_from([b for b, _ in _type_stream(rng, rounds=1)]))
+    return _transport(base, _random_invertible(rng, base.dim))
+
+
 @settings(max_examples=30, database=None, deadline=None)
-@given(_semidirect_algebras())
+@given(st.one_of(_semidirect_algebras(), _transported_type_algebras()))
 def test_nilradical_matches_reference_on_semidirect_products(l):
-    assert l.nilradical_solvable() == _nilradical_reference(l)
+    _assert_nilradical_matches_references(l)
+
+
+def test_nilradical_falls_back_to_the_next_y(monkeypatch):
+    """y_1 = e0 + 2 e1 gives the weights 2 x0 (on e2) and x1 (on e3) the
+    same value 2, so S_y also holds e0 - 2 e1 and validation refuses it;
+    y_2 = e0 + 4 e1 separates them."""
+    calls = []
+    validate = LieAlgebra._validate_nilradical
+
+    def counted(self, space):
+        calls.append(space)
+        validate(self, space)
+
+    monkeypatch.setattr(LieAlgebra, "_validate_nilradical", counted)
+    l = _two_derivations([[2, 0], [0, 0]], [[0, 0], [0, 1]])
+    assert l.nilradical_solvable() == Subspace(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    assert len(calls) == 2
+    assert calls[0] == Subspace(4, [[1, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_nilradical_mat_mul_count_is_linear_in_dim(monkeypatch):
+    """Counted, not timed: on R x_N R^31 with N one nilpotent Jordan block
+    the nilradical makes at most 10 n products once the integer adjoints,
+    Cartan's answer and [g,g] exist; _closure_nilradical_reference alone
+    makes 1 953."""
+    l = _semidirect([[int(j == i + 1) for j in range(31)] for i in range(31)])
+    assert l.is_solvable() and l.derived_subalgebra().dim == 30
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counted(a, b):
+        calls.append(len(a))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    assert l.nilradical_solvable().dim == 32
+    assert 0 < len(calls) <= 10 * l.dim
 
 
 def _jacobi_sum(l, i, j, k):
