@@ -5,17 +5,17 @@ Signature is never computed numerically: the Gram matrix is symmetric
 with rational entries, so its characteristic polynomial has only real
 roots and Descartes' rule counts the positive and negative ones exactly.
 
-sweep_invariant_forms handles the nonexistence question "does ANY closed
-J-compatible invariant 2-form have full rank": it solves the linear
-constraints exactly, looks for a common kernel vector (if one exists all
-members are degenerate at once), and otherwise certifies that the
-Pfaffian vanishes identically by evaluating it on an integer grid large
-enough for its per-variable degree.
+sweep_invariant_forms answers the question "does ANY closed J-compatible
+invariant 2-form have full rank". It solves the linear constraints
+exactly, looks for a common kernel vector (if one exists, every member is
+degenerate at once), then tries one generic member, and otherwise decides
+by rank on the points of a simplex (see _sweep_pencil).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -120,14 +120,16 @@ def classify(l: LieAlgebra, j: AlmostComplexStructure,
 
 # -- nonexistence sweep over all invariant forms ------------------------------
 
+# the largest simplex _sweep_pencil scans; a larger one is refused
+MAX_SIMPLEX_POINTS = 200000
+
 
 class SweepResult(NamedTuple):
     space_dim: int
     all_degenerate: bool
-    method: str                       # "empty" | "common_kernel" | "pfaffian_grid"
+    method: str                       # "empty" | "common_kernel" | "simplex"
     kernel_dim: int = 0
-    witness: Optional[Tuple[int, ...]] = None   # grid point with Pf != 0
-    grid: Optional[Tuple[int, ...]] = None      # the per-variable grid values
+    witness: Optional[Tuple[int, ...]] = None   # c with sum c_i B_i of full rank
 
 
 def closed_compatible_space(l: LieAlgebra,
@@ -152,56 +154,45 @@ def closed_compatible_space(l: LieAlgebra,
     return forms
 
 
-def _pfaffian(m: List[List[Fraction]]) -> Fraction:
-    n = len(m)
-    if n % 2:
-        return Fraction(0)
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    sign = 1
-    for jcol in range(1, n):
-        a = m[0][jcol]
-        if a:
-            keep = [t for t in range(1, n) if t != jcol]
-            sub = [[m[r][c] for c in keep] for r in keep]
-            term = a * _pfaffian(sub)
-            total = total + (term if sign == 1 else -term)
-        sign = -sign
-    return total
+def _sweep_pencil(mats: Sequence[Sequence[Sequence[Fraction]]]) -> SweepResult:
+    """Decide whether every member of the pencil sum c_i B_i is degenerate.
 
+    The B_i are r antisymmetric n x n matrices, n = 2d. Pf(sum c_i B_i) is
+    homogeneous of degree d in c, since the entries are linear in c. On the
+    hyperplane sum c_i = d it is a polynomial of degree at most d in r - 1
+    variables, and the points of N^r with sum c_i = d are unisolvent for
+    that degree (the principal lattice: Nicolaides, SIAM J. Numer. Anal. 9
+    (1972); Chung & Yao, SIAM J. Numer. Anal. 14 (1977)). So the Pfaffian
+    vanishes identically exactly when it vanishes at those C(r-1+d, d)
+    points, and Pf(M) != 0 exactly when rank M = n.
 
-def sweep_invariant_forms(l: LieAlgebra, j: AlmostComplexStructure,
-                          max_points: int = 200000) -> SweepResult:
-    """Decide whether every closed J-compatible invariant 2-form is degenerate."""
-    basis = closed_compatible_space(l, j)
-    r = len(basis)
+    In order: a common kernel decides at once; the point (1, 2, ..., r),
+    full rank on every catalog entry that has a nondegenerate form, is
+    tried next; then the simplex is scanned, or refused with BoundTooLarge
+    past MAX_SIMPLEX_POINTS.
+    """
+    r = len(mats)
     if r == 0:
         return SweepResult(0, True, "empty")
-    n = l.dim
-    mats = [f.matrix() for f in basis]
-    # a vector killed by every basis form is killed by every combination
-    stacked = []
-    for m in mats:
-        stacked.extend(m)
-    common = linalg.nullspace(stacked)
+    common = linalg.nullspace([row for m in mats for row in m])
     if common:
         return SweepResult(r, True, "common_kernel", kernel_dim=len(common))
-    # Pf(sum c_i B_i) has degree <= n/2 in each c_i; vanishing on the grid
-    # {0..n/2}^r forces the zero polynomial
-    grid_vals = tuple(range(n // 2 + 1))
-    if len(grid_vals) ** r > max_points:
-        raise BoundTooLarge("grid of %d^%d points refused"
-                            % (len(grid_vals), r))
-    point = [0] * r
-    while True:
-        if _pfaffian(linalg.mat_comb(point, mats)) != 0:
-            return SweepResult(r, False, "pfaffian_grid",
-                               witness=tuple(point), grid=grid_vals)
-        pos = r - 1
-        while pos >= 0 and point[pos] == grid_vals[-1]:
-            point[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return SweepResult(r, True, "pfaffian_grid", grid=grid_vals)
-        point[pos] += 1
+    n = len(mats[0])
+    generic = tuple(range(1, r + 1))
+    if linalg.rank(linalg.mat_comb(generic, mats)) == n:
+        return SweepResult(r, False, "simplex", witness=generic)
+    d = n // 2
+    if math.comb(r - 1 + d, d) > MAX_SIMPLEX_POINTS:
+        raise BoundTooLarge("simplex of C(%d, %d) points refused"
+                            % (r - 1 + d, d))
+    for picks in itertools.combinations_with_replacement(range(r), d):
+        point = tuple(picks.count(t) for t in range(r))
+        if linalg.rank(linalg.mat_comb(point, mats)) == n:
+            return SweepResult(r, False, "simplex", witness=point)
+    return SweepResult(r, True, "simplex")
+
+
+def sweep_invariant_forms(l: LieAlgebra,
+                          j: AlmostComplexStructure) -> SweepResult:
+    """Decide whether every closed J-compatible invariant 2-form is degenerate."""
+    return _sweep_pencil([f.matrix() for f in closed_compatible_space(l, j)])

@@ -1,6 +1,7 @@
 """Two-form classification, exact signatures, and the degeneracy sweep."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from solvkit import catalog, linalg, pkforms
 from solvkit.cohomology import Cochain, ce_d
 from solvkit.cxstruct import is_integrable
-from solvkit.errors import NotCompatible, NotIntegrable
+from solvkit.errors import BoundTooLarge, NotCompatible, NotIntegrable
 from solvkit.pkforms import (ClassifyResult, TwoForm, classify,
                              closed_compatible_space, j_compatible,
                              metric_from, signature, sweep_invariant_forms)
@@ -290,17 +291,25 @@ def test_closed_compatible_space_dims():
 
 
 def test_sweep_frozen():
+    """Every catalog entry with a J is decided; the five that have a common
+    kernel keep their answer, and (1, ..., r) is the witness elsewhere."""
     expected = {
-        "nilpotent3": (4, True, "common_kernel", 2),
-        "nonnilpotent3": (1, True, "common_kernel", 4),
-        "inoue-s0": (1, True, "common_kernel", 2),
-        "secondary-kodaira": (1, True, "common_kernel", 2),
-        "inoue-spm": (1, True, "common_kernel", 2),
+        "abelian": (4, False, "simplex", 0, (1, 2, 3, 4)),
+        "abelian3": (9, False, "simplex", 0, tuple(range(1, 10))),
+        "example3": (2, False, "simplex", 0, (1, 2)),
+        "hyperelliptic": (2, False, "simplex", 0, (1, 2)),
+        "inoue-s0": (1, True, "common_kernel", 2, None),
+        "inoue-spm": (1, True, "common_kernel", 2, None),
+        "nilpotent3": (4, True, "common_kernel", 2, None),
+        "nonnilpotent3": (1, True, "common_kernel", 4, None),
+        "primary-kodaira": (3, False, "simplex", 0, (1, 2, 3)),
+        "secondary-kodaira": (1, True, "common_kernel", 2, None),
     }
+    assert sorted(expected) == [name for name in catalog.list_names()
+                                if catalog.get(name).j is not None]
     for name, want in expected.items():
         entry = catalog.get(name)
-        res = sweep_invariant_forms(entry.algebra, entry.j)
-        got = (res.space_dim, res.all_degenerate, res.method, res.kernel_dim)
+        got = tuple(sweep_invariant_forms(entry.algebra, entry.j))
         assert got == want, (name, got)
 
 
@@ -308,8 +317,144 @@ def test_sweep_finds_nondegenerate_form():
     entry = catalog.get("abelian")
     res = sweep_invariant_forms(entry.algebra, entry.j)
     assert not res.all_degenerate
-    assert res.method == "pfaffian_grid"
+    assert res.method == "simplex"
     assert res.witness is not None
+    coeffs = {}
+    for c, f in zip(res.witness,
+                    closed_compatible_space(entry.algebra, entry.j)):
+        for k, v in f.coeffs.items():
+            coeffs[k] = coeffs.get(k, 0) + c * v
+    omega = TwoForm(4, coeffs)
+    assert classify(entry.algebra, entry.j, omega).tag in (
+        "kahler", "pseudo_kahler")
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """A one-element list counting linalg.rank calls from now on."""
+    count = [0]
+    rank = linalg.rank
+
+    def counted(rows):
+        count[0] += 1
+        return rank(rows)
+    monkeypatch.setattr(linalg, "rank", counted)
+    return count
+
+
+def test_sweep_decides_abelian_at_the_generic_point(rank_calls):
+    """One rank test decides the flat tori up to dim 10: no simplex scan."""
+    for dim in (4, 6, 8, 10):
+        entry = catalog.get("abelian", dim=dim)
+        rank_calls[0] = 0
+        res = sweep_invariant_forms(entry.algebra, entry.j)
+        r = (dim // 2) ** 2
+        assert tuple(res) == (r, False, "simplex", 0, tuple(range(1, r + 1)))
+        assert rank_calls[0] == 1
+
+
+def _pfaffian(m):
+    n = len(m)
+    if n % 2:
+        return Fraction(0)
+    if n == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    sign = 1
+    for jcol in range(1, n):
+        a = m[0][jcol]
+        if a:
+            keep = [t for t in range(1, n) if t != jcol]
+            sub = [[m[r][c] for c in keep] for r in keep]
+            term = a * _pfaffian(sub)
+            total = total + (term if sign == 1 else -term)
+        sign = -sign
+    return total
+
+
+def _sweep_grid_reference(mats):
+    """(all_degenerate, witness) by the Pfaffian on the grid {0..n/2}^r, as
+    sweep_invariant_forms once decided after its common-kernel test."""
+    r, n = len(mats), len(mats[0])
+    grid_vals = tuple(range(n // 2 + 1))
+    point = [0] * r
+    while True:
+        if _pfaffian(linalg.mat_comb(point, mats)) != 0:
+            return False, tuple(point)
+        pos = r - 1
+        while pos >= 0 and point[pos] == grid_vals[-1]:
+            point[pos] = 0
+            pos -= 1
+        if pos < 0:
+            return True, None
+        point[pos] += 1
+
+
+def _skew(n, entries):
+    """The antisymmetric Fraction matrix with the given upper entries."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for (a, b), v in entries.items():
+        m[a][b], m[b][a] = Fraction(v), Fraction(-v)
+    return m
+
+
+def _seeded_pencils(rng, count):
+    """Skew pencils with n in {4, 6} and r <= 3; every second one vanishes
+    on span(e_1..e_k), k = n/2 or n/2 + 1, so it is often all-degenerate
+    with no common kernel."""
+    for t in range(count):
+        n = rng.choice((4, 6))
+        pairs = list(itertools.combinations(range(n), 2))
+        if t % 2:
+            k = n // 2 + rng.randint(0, 1)
+            pairs = [(a, b) for a, b in pairs if b >= k]
+        yield [_skew(n, {p: rng.choice((0, 0, 1, -1, 2)) for p in pairs})
+               for _ in range(rng.randint(1, 3))]
+
+
+def test_sweep_pencil_matches_grid_reference():
+    """The simplex decision against the Pfaffian on the whole grid, on
+    seeded pencils and on [M, -M/2], where (1, 2) cancels but (d, 0) does
+    not, so that all four outcomes occur."""
+    rng = random.Random(71)
+    m = _skew(4, {(0, 1): 1, (2, 3): 1})
+    half = [[-x / 2 for x in row] for row in m]
+    outcomes = set()
+    for mats in list(_seeded_pencils(rng, 240)) + [[m, half]]:
+        got = pkforms._sweep_pencil(mats)
+        want, _ = _sweep_grid_reference(mats)
+        assert got.all_degenerate == want, mats
+        assert got.space_dim == len(mats)
+        if got.witness is not None:
+            n = len(mats[0])
+            assert linalg.det(linalg.mat_comb(got.witness, mats)) != 0
+            assert sum(got.witness) == n // 2 or \
+                got.witness == tuple(range(1, len(mats) + 1))
+        generic = got.witness == tuple(range(1, len(mats) + 1))
+        outcomes.add((got.method, got.all_degenerate, generic))
+    assert pkforms._sweep_pencil([m, half]).witness == (2, 0)
+    assert outcomes == {("common_kernel", True, False),
+                        ("simplex", False, True),
+                        ("simplex", False, False),
+                        ("simplex", True, False)}
+
+
+def test_sweep_refuses_a_large_simplex_up_front(rank_calls):
+    """All skew 10 x 10 matrices that vanish on span(e1..e6): r = 30, no
+    common kernel, (1, ..., r) degenerate (the isotropic span is too large),
+    and C(34, 5) = 278 256 simplex points, refused after one rank test."""
+    n = 10
+    mats = [_skew(n, {(a, b): 1})
+            for a, b in itertools.combinations(range(n), 2) if b >= 6]
+    assert len(mats) == 30
+    assert math.comb(34, 5) == 278256 > pkforms.MAX_SIMPLEX_POINTS
+    with pytest.raises(BoundTooLarge, match="C\\(34, 5\\)"):
+        pkforms._sweep_pencil(mats)
+    assert rank_calls[0] == 1
+
+
+def test_sweep_pencil_empty():
+    assert tuple(pkforms._sweep_pencil([])) == (0, True, "empty", 0, None)
 
 
 def test_pfaffian_squares_to_det():
@@ -322,5 +467,5 @@ def test_pfaffian_squares_to_det():
                 v = Scalar(rng.randint(-3, 3))
                 m[a][b] = v
                 m[b][a] = -v
-        pf = pkforms._pfaffian(m)
+        pf = _pfaffian(m)
         assert pf * pf == linalg.det(m)

@@ -194,8 +194,7 @@ def test_real_core_does_no_scalar_arithmetic(scalar_ops, tmp_path, capsys):
         assert cxstruct.is_integrable(entry.algebra, entry.j).ok
         sub = cxstruct.subalgebra_from_j(entry.algebra, entry.j)
         assert cxstruct.j_from_subspace(sub.ambient, sub.basis) == entry.j
-        if entry.name in ("abelian", "nilpotent3", "inoue-s0"):
-            pkforms.sweep_invariant_forms(entry.algebra, entry.j)
+        pkforms.sweep_invariant_forms(entry.algebra, entry.j)
     for name, gens in (("abelian3", []), ("nilpotent3", [])):
         cohomology.winkelmann_h1(catalog.get(name).algebra,
                                  cohomology.HolonomyAction(gens))
