@@ -14,7 +14,7 @@ from .cxstruct import (AlmostComplexStructure, j_from_images, nijenhuis,
                        is_complex_lie_algebra, tautological_j)
 from .cohomology import (Cochain, ce_d, h1_lie, HolonomyAction, winkelmann_h1,
                          closed_holomorphic_1forms, pseudo_kahler_obstruction)
-from .pkforms import (TwoForm, j_compatible, metric_from, signature, classify,
+from .pkforms import (j_compatible, metric_from, signature, classify,
                       ClassifyResult, closed_compatible_space,
                       sweep_invariant_forms, SweepResult)
 from .expforms import (ExpForm, ext_d, conjugate_form, omega_coordinate,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (BadHolonomy, DegreeTooHigh, InternalCheckFailed,
@@ -29,7 +29,7 @@ from .liealg import LieAlgebra
 from .linalg import Subspace
 from .polys import (Poly, all_roots_real, count_real_roots, factor_rational,
                     is_squarefree)
-from .scalars import Scalar, exact
+from .scalars import exact
 
 MAX_DEGREE = 3
 
@@ -37,8 +37,8 @@ MAX_DEGREE = 3
 class Cochain:
     """Alternating k-form on an n-dimensional algebra, k <= 3.
 
-    Coefficients are read through scalars.exact: Fractions for real
-    values, Scalars only for the complex ones of expforms.restrict_identity.
+    Coefficients are read through scalars.exact, so they are Fractions and
+    a non-real value is refused.
     """
 
     def __init__(self, dim: int, degree: int, coeffs: Optional[Dict] = None):
@@ -48,14 +48,14 @@ class Cochain:
             raise ValueError("positive dimension required")
         self.dim = dim
         self.degree = degree
-        self.coeffs: Dict[Tuple[int, ...], Union[Fraction, Scalar]] = {}
+        self.coeffs: Dict[Tuple[int, ...], Fraction] = {}
         for key, val in (coeffs or {}).items():
             key = check_key(key, degree, dim)
             v = exact(val)
             if v:
                 self.coeffs[key] = v
 
-    def coefficient(self, *indices: int) -> Union[Fraction, Scalar]:
+    def coefficient(self, *indices: int) -> Fraction:
         """Value on the given basis indices, any order, exact sign handling."""
         if len(indices) != self.degree:
             raise ValueError("expected %d indices" % self.degree)
@@ -66,7 +66,7 @@ class Cochain:
         base = self.coeffs.get(key, Fraction(0))
         return base if sign == 1 else -base
 
-    def evaluate(self, *vectors: Sequence) -> Union[Fraction, Scalar]:
+    def evaluate(self, *vectors: Sequence) -> Fraction:
         if len(vectors) != self.degree:
             raise ValueError("expected %d vectors" % self.degree)
         vecs = [[exact(x) for x in v] for v in vectors]
@@ -94,7 +94,7 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def matrix(self) -> List[List[Union[Fraction, Scalar]]]:
+    def matrix(self) -> List[List[Fraction]]:
         """The antisymmetric matrix (omega(e_i, e_j)) of a 2-form omega."""
         if self.degree != 2:
             raise ValueError("a 2-form is required")
@@ -189,8 +189,6 @@ class HolonomyAction:
         self.generators: List[List[List[Fraction]]] = []
         for t, g in enumerate(generators):
             mat = [[exact(x) for x in row] for row in g]
-            if any(isinstance(x, Scalar) for row in mat for x in row):
-                raise ValueError("holonomy entries must be real")
             where = "generators[%d]" % t
             if any(len(row) != len(mat) for row in mat):
                 raise BadHolonomy("%s: matrix must be square" % where)

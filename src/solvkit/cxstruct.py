@@ -19,7 +19,7 @@ from . import linalg
 from .errors import InternalCheckFailed, NotIntegrable, NotTransverse
 from .liealg import LieAlgebra
 from .linalg import Subspace
-from .scalars import Scalar, exact
+from .scalars import exact
 
 
 class AlmostComplexStructure:
@@ -37,8 +37,6 @@ class AlmostComplexStructure:
             raise ValueError("almost complex structure needs even dimension")
         if any(len(row) != n for row in self.matrix):
             raise ValueError("J must be square")
-        if any(isinstance(x, Scalar) for row in self.matrix for x in row):
-            raise ValueError("J must have real entries")
         t, jt = linalg.scaled(self.matrix)
         minus_t2 = [[-t * t if i == j else 0 for j in range(n)] for i in range(n)]
         if linalg.mat_mul(jt, jt) != minus_t2:

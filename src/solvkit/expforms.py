@@ -290,7 +290,8 @@ def restrict_identity(f: ExpForm) -> Cochain:
     """Value at the identity as a cochain on the 6-dim realified algebra.
 
     All exponential monomials evaluate to 1 at x = 0; phase or rho tags
-    left over from pullbacks have no exact value and are rejected.
+    left over from pullbacks have no exact value and are rejected, and a
+    non-real value is refused by the Cochain (ValueError).
     """
     if f.degree > 3:
         raise DegreeTooHigh("restriction implemented through degree 3")

@@ -9,10 +9,11 @@ The document format:
       "sigma": [["1", "0", ...], ...],          # optional, complex field
       "J": [["0", "-1", ...], ...] }            # optional
 
-Indices in documents are 1-based with i < j; scalars are exact literals
-("p/q" or "p/q+r/s*i", plain ints allowed). Schema violations raise
-SchemaError with a JSON-path diagnostic; Jacobi failures raise SchemaError
-carrying the witness triple.
+Indices in documents are 1-based with i < j; scalars are exact real
+literals ("p/q", plain ints allowed; "p/q+0*i" reads as p/q, and a nonzero
+imaginary part is refused). Schema violations raise SchemaError with a
+JSON-path diagnostic; Jacobi failures raise SchemaError carrying the
+witness triple.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, TextIO, Tuple
 
+from .cohomology import Cochain
 from .cxstruct import AlmostComplexStructure
 from .errors import SchemaError
 from .liealg import MAX_DIM, LieAlgebra
-from .pkforms import TwoForm
-from .scalars import Scalar, exact, format_scalar, parse_scalar
+from .scalars import exact, format_scalar, parse_scalar
 
 
 def _read_json(path: str):
@@ -47,18 +48,20 @@ def load_document(path: str) -> dict:
     return doc
 
 
-def _scalar_at(raw, where: str) -> Scalar:
+def _real_at(raw, where: str) -> Fraction:
+    """The real value of the literal `raw`; SchemaError at `where` if it is
+    malformed or not real."""
     try:
-        return parse_scalar(raw)
+        return exact(parse_scalar(raw))
     except ValueError as e:
         raise SchemaError("%s: %s" % (where, e))
 
 
-def _matrix_at(raw, dim: int, where: str) -> List[List[Scalar]]:
+def _matrix_at(raw, dim: int, where: str) -> List[List[Fraction]]:
     if not isinstance(raw, list) or len(raw) != dim or \
             any(not isinstance(row, list) or len(row) != dim for row in raw):
         raise SchemaError("%s: expected a %dx%d matrix" % (where, dim, dim))
-    return [[_scalar_at(x, "%s[%d][%d]" % (where, r, c))
+    return [[_real_at(x, "%s[%d][%d]" % (where, r, c))
              for c, x in enumerate(row)] for r, row in enumerate(raw)]
 
 
@@ -79,7 +82,7 @@ def algebra_from_document(doc: dict, validate: bool = True) -> LieAlgebra:
     raw_brackets = doc.get("brackets", [])
     if not isinstance(raw_brackets, list):
         raise SchemaError("brackets: expected a list")
-    table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+    table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     for t, item in enumerate(raw_brackets):
         where = "brackets[%d]" % t
         if not isinstance(item, dict):
@@ -98,7 +101,7 @@ def algebra_from_document(doc: dict, validate: bool = True) -> LieAlgebra:
         out = item.get("out")
         if not isinstance(out, dict):
             raise SchemaError("%s.out: expected an object" % where)
-        row: Dict[int, Scalar] = {}
+        row: Dict[int, Fraction] = {}
         for key, val in out.items():
             try:
                 k = int(key)
@@ -106,7 +109,7 @@ def algebra_from_document(doc: dict, validate: bool = True) -> LieAlgebra:
                 raise SchemaError("%s.out: bad index %r" % (where, key))
             if not 1 <= k <= dim:
                 raise SchemaError("%s.out: index %d out of range" % (where, k))
-            row[k - 1] = _scalar_at(val, "%s.out[%r]" % (where, key))
+            row[k - 1] = _real_at(val, "%s.out[%r]" % (where, key))
         if (i - 1, j - 1) in table:
             raise SchemaError("%s: duplicate bracket (%d, %d)" % (where, i, j))
         table[(i - 1, j - 1)] = row
@@ -173,27 +176,18 @@ def load_holonomy(path: str) -> List[List[List[Fraction]]]:
         n = len(mat)
         if any(not isinstance(row, list) or len(row) != n for row in mat):
             raise SchemaError("%s: matrix must be square" % where)
-        rows = []
-        for r, row in enumerate(mat):
-            vals = []
-            for c, x in enumerate(row):
-                v = exact(_scalar_at(x, "%s[%d][%d]" % (where, r, c)))
-                if isinstance(v, Scalar):
-                    raise SchemaError("%s[%d][%d]: real entry required"
-                                      % (where, r, c))
-                vals.append(v)
-            rows.append(vals)
-        out.append(rows)
+        out.append([[_real_at(x, "%s[%d][%d]" % (where, r, c))
+                     for c, x in enumerate(row)] for r, row in enumerate(mat)])
     return out
 
 
-def load_two_form(path: str, dim: int) -> TwoForm:
+def load_two_form(path: str, dim: int) -> Cochain:
     """Read a 2-form given as entries {"i": 1, "j": 4, "coeff": "2"} (1-based)."""
     doc = _read_json(path)
     raw = doc.get("terms") if isinstance(doc, dict) else doc
     if not isinstance(raw, list):
         raise SchemaError("omega: expected a list of {i, j, coeff} entries")
-    coeffs: Dict[Tuple[int, int], Scalar] = {}
+    coeffs: Dict[Tuple[int, int], Fraction] = {}
     for t, item in enumerate(raw):
         where = "omega[%d]" % t
         if not isinstance(item, dict):
@@ -208,12 +202,9 @@ def load_two_form(path: str, dim: int) -> TwoForm:
             raise SchemaError("%s: need 1 <= i < j <= %d" % (where, dim))
         if (i - 1, j - 1) in coeffs:
             raise SchemaError("%s: duplicate entry (%d, %d)" % (where, i, j))
-        coeffs[(i - 1, j - 1)] = _scalar_at(item.get("coeff"),
-                                            "%s.coeff" % where)
-    try:
-        return TwoForm(dim, coeffs)
-    except ValueError as e:
-        raise SchemaError("omega: %s" % e)
+        coeffs[(i - 1, j - 1)] = _real_at(item.get("coeff"),
+                                          "%s.coeff" % where)
+    return Cochain(dim, 2, coeffs)
 
 
 def load_int_matrix(path: str, size: int) -> List[List[int]]:

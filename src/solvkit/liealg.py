@@ -67,9 +67,6 @@ class LieAlgebra:
                 if not 0 <= k < dim:
                     raise ValueError("bracket output index %d out of range" % k)
                 v = exact(c)
-                if isinstance(v, Scalar):
-                    raise ValueError("structure constants must be real "
-                                     "(realify complex algebras first)")
                 if v:
                     row[k] = Scalar(v)
             if row:

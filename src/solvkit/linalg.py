@@ -1,11 +1,10 @@
-"""Exact dense linear algebra over int, Fraction or Scalar entries.
+"""Exact dense linear algebra over int or Fraction entries.
 
 Matrices are plain lists of lists; vectors are lists. Entries are read
-through scalars.exact, so floats are refused. The eliminations (rref and
-all that reads it) and char_poly run on the ints of scaled, through the
-one fraction-free echelon_add, return exact Fractions and refuse non-real
-entries with ValueError. det alone stays field-generic, over int,
-Fraction or Scalar entries.
+through scalars.exact, so floats and non-real values are refused. The
+eliminations (rref, rank and all that reads them) and char_poly run on
+the ints of scaled, through the one fraction-free echelon_add, and return
+exact Fractions.
 
 This is the one place that multiplies or combines matrices. mat_mul,
 mat_vec and mat_comb share one rule: zero entries (zero coefficients for
@@ -21,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .polys import Poly
-from .scalars import Scalar, exact
+from .scalars import exact
 
 Vec = List
 Mat = List[List]
@@ -115,8 +114,6 @@ def mat_trace(a: Mat):
 def scaled(rows: Sequence[Vec]) -> Tuple[int, List[List[int]]]:
     """(s, s rows), s the lcm of the denominators; ValueError if not real."""
     m = [[x if type(x) is int else exact(x) for x in r] for r in rows]
-    for x in (x for r in m for x in r if isinstance(x, Scalar)):
-        raise ValueError("expected a real matrix entry, got %s" % (x,))
     s = math.lcm(*(x.denominator for r in m for x in r))
     return s, [[x.numerator * (s // x.denominator) for x in r] for r in m]
 
@@ -142,23 +139,28 @@ def echelon_add(echelon: List[Tuple[int, List[int]]],
     return red
 
 
-def rref(rows: Sequence[Vec]) -> Tuple[Mat, List[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    _, ints = scaled(rows)
+def _echelon(rows: Sequence[Vec]) -> List[Tuple[int, List[int]]]:
+    """The forward pass: the (lead, row) pairs echelon_add keeps from the
+    ints of scaled(rows), one per independent row."""
     echelon: List[Tuple[int, List[int]]] = []
-    for row in ints:
+    for row in scaled(rows)[1]:
         if len(echelon) == len(row):
             break
         echelon_add(echelon, row)
+    return echelon
+
+
+def rref(rows: Sequence[Vec]) -> Tuple[Mat, List[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     back: List[Tuple[int, List[int]]] = []
-    for _, row in sorted(echelon, reverse=True):    # back-substitution
+    for _, row in sorted(_echelon(rows), reverse=True):    # back-substitution
         echelon_add(back, row)
     return ([[Fraction(x, row[p]) for x in row] for p, row in reversed(back)],
             [p for p, _ in reversed(back)])
 
 
 def rank(rows: Sequence[Vec]) -> int:
-    return len(rref(rows)[0])
+    return len(_echelon(rows))
 
 
 def nullspace(a: Mat) -> List[Vec]:
@@ -212,25 +214,24 @@ def inverse(a: Mat) -> Mat:
     return [row[n:] for row in red]
 
 
-def det(a: Mat):
-    """Determinant by elimination in the entries' own field, Scalar included."""
+def det(a: Mat) -> Fraction:
+    """Determinant by elimination over the rationals."""
     n = len(a)
     m = [[exact(x) for x in row] for row in a]
-    sign = 1
-    acc = None
+    acc = Fraction(1)
     for c in range(n):
         piv = next((i for i in range(c, n) if m[i][c]), None)
         if piv is None:
-            return m[0][0] - m[0][0]  # zero of the right field
+            return Fraction(0)
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
-            sign = -sign
+            acc = -acc
         for i in range(c + 1, n):
             if m[i][c]:
                 f = m[i][c] / m[c][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        acc = m[c][c] if acc is None else acc * m[c][c]
-    return acc * sign
+        acc *= m[c][c]
+    return acc
 
 
 # -- characteristic and minimal polynomials ----------------------------------

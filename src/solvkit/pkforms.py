@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .cohomology import Cochain, ce_d
@@ -25,16 +25,7 @@ from .cxstruct import AlmostComplexStructure, is_integrable
 from .errors import BoundTooLarge, NotCompatible, NotIntegrable
 from .liealg import LieAlgebra
 from .polys import descartes_positive_count
-from .scalars import Scalar, exact
-
-
-class TwoForm(Cochain):
-    """Degree-2 cochain with real coefficients."""
-
-    def __init__(self, dim: int, coeffs: Optional[Dict] = None):
-        super().__init__(dim, 2, coeffs)
-        if any(isinstance(v, Scalar) for v in self.coeffs.values()):
-            raise ValueError("TwoForm coefficients must be real")
+from .scalars import exact
 
 
 def _gram(omega: Cochain, j: AlmostComplexStructure) -> List[List[Fraction]]:
@@ -82,8 +73,6 @@ def signature(gram: Sequence[Sequence[object]]) -> Tuple[int, int]:
         for k in range(n):
             if m[i][k] != m[k][i]:
                 raise ValueError("matrix is not symmetric")
-            if isinstance(m[i][k], Scalar):
-                raise ValueError("matrix is not real")
     chi = linalg.char_poly(m)
     pos = descartes_positive_count(chi)
     neg = descartes_positive_count(chi.compose_negate())
@@ -133,7 +122,7 @@ class SweepResult(NamedTuple):
 
 
 def closed_compatible_space(l: LieAlgebra,
-                            j: AlmostComplexStructure) -> List[TwoForm]:
+                            j: AlmostComplexStructure) -> List[Cochain]:
     """Basis of {omega : d omega = 0, omega(J.,J.) = omega}, exact."""
     n = l.dim
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -150,7 +139,7 @@ def closed_compatible_space(l: LieAlgebra,
     forms = []
     for vec in kernel:
         coeffs = {pairs[t]: vec[t] for t in range(len(pairs)) if vec[t]}
-        forms.append(TwoForm(n, coeffs))
+        forms.append(Cochain(n, 2, coeffs))
     return forms
 
 
@@ -166,6 +155,8 @@ def _sweep_pencil(mats: Sequence[Sequence[Sequence[Fraction]]]) -> SweepResult:
     vanishes identically exactly when it vanishes at those C(r-1+d, d)
     points, and Pf(M) != 0 exactly when rank M = n.
 
+    The B_i are cleared to ints once, by one common linalg.scaled: a
+    positive scale changes no rank, so neither a decision nor a witness.
     In order: a common kernel decides at once; the point (1, 2, ..., r),
     full rank on every catalog entry that has a nondegenerate form, is
     tried next; then the simplex is scanned, or refused with BoundTooLarge
@@ -174,12 +165,14 @@ def _sweep_pencil(mats: Sequence[Sequence[Sequence[Fraction]]]) -> SweepResult:
     r = len(mats)
     if r == 0:
         return SweepResult(0, True, "empty")
-    common = linalg.nullspace([row for m in mats for row in m])
+    n = len(mats[0])
+    _, rows = linalg.scaled([row for m in mats for row in m])
+    common = linalg.nullspace(rows)
     if common:
         return SweepResult(r, True, "common_kernel", kernel_dim=len(common))
-    n = len(mats[0])
+    ints = [rows[t * n:(t + 1) * n] for t in range(r)]
     generic = tuple(range(1, r + 1))
-    if linalg.rank(linalg.mat_comb(generic, mats)) == n:
+    if linalg.rank(linalg.mat_comb(generic, ints)) == n:
         return SweepResult(r, False, "simplex", witness=generic)
     d = n // 2
     if math.comb(r - 1 + d, d) > MAX_SIMPLEX_POINTS:
@@ -187,7 +180,7 @@ def _sweep_pencil(mats: Sequence[Sequence[Sequence[Fraction]]]) -> SweepResult:
                             % (r - 1 + d, d))
     for picks in itertools.combinations_with_replacement(range(r), d):
         point = tuple(picks.count(t) for t in range(r))
-        if linalg.rank(linalg.mat_comb(point, mats)) == n:
+        if linalg.rank(linalg.mat_comb(point, ints)) == n:
             return SweepResult(r, False, "simplex", witness=point)
     return SweepResult(r, True, "simplex")
 

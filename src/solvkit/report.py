@@ -17,7 +17,6 @@ from typing import Dict, List
 from . import catalog, cohomology, cxstruct, expforms, lattices, pkforms
 from .cxstruct import j_from_images
 from .errors import NotIntegrable
-from .pkforms import TwoForm
 from .polys import Poly
 
 EXAMPLE6_MATRIX = [[0, 1, 0, 0],
@@ -124,7 +123,7 @@ def check_example6() -> dict:
 
 def check_theorem9_pipeline() -> dict:
     detail = expforms.theorem9_checks()
-    fixture = TwoForm(6, {(0, 3): 2, (1, 2): 2, (4, 5): 2})
+    fixture = cohomology.Cochain(6, 2, {(0, 3): 2, (1, 2): 2, (4, 5): 2})
     restricted = expforms.restrict_identity(expforms.omega_coordinate())
     restriction_matches = (restricted.degree == 2
                            and dict(restricted.coeffs) == dict(fixture.coeffs))
@@ -279,7 +278,7 @@ def check_group_laws() -> dict:
 def check_example3() -> dict:
     entry = catalog.get("example3", l=1, k=1)
     integ = cxstruct.is_integrable(entry.algebra, entry.j)
-    omega = TwoForm(4, {(0, 1): 1, (2, 3): 1})
+    omega = cohomology.Cochain(4, 2, {(0, 1): 1, (2, 3): 1})
     verdict = pkforms.classify(entry.algebra, entry.j, omega)
     tag = entry.algebra.classify_type()
     detail = {

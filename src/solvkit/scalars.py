@@ -2,10 +2,10 @@
 
 A Scalar is re + im*i with both parts fractions.Fraction. The toolkit
 computes on real data in int / Fraction; exact(x) is the single place
-that decides whether a value is real, and only a genuinely complex value
-stays a Scalar (complex input, the coordinate forms of expforms). Floats
-are rejected; go through Fraction explicitly if you really mean a binary
-float.
+that decides whether a value is real, and it refuses any other. Scalars
+stay only where complex numbers belong: complex input before it is
+realified, and the coordinate forms of expforms. Floats are rejected; go
+through Fraction explicitly if you really mean a binary float.
 
 String form is "p/q" for real values and "p/q+r/s*i" in general, e.g.
 "-1/2", "3", "0+1*i", "1/2-2/3*i". parse_scalar accepts the same grammar.
@@ -219,19 +219,20 @@ def parse_scalar(text) -> Scalar:
     return Scalar(_parse_rat(s))
 
 
-def exact(x) -> Union[Fraction, Scalar]:
-    """int / Fraction / str / Scalar as a Fraction when the value is real.
+def exact(x) -> Fraction:
+    """int / Fraction / str / Scalar as a Fraction: the one realness rule.
 
-    Only a value with a nonzero imaginary part stays a Scalar, so callers
-    that need real data refuse exactly the values that are Scalars after
-    this. Floats are refused.
+    A value with a nonzero imaginary part is refused with ValueError and a
+    float with TypeError, so every real layer reads its input through this.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
         x = parse_scalar(x)
     if isinstance(x, Scalar):
-        return x.re if x.im == 0 else x
+        if x.im:
+            raise ValueError("real entry required")
+        return x.re
     return _as_fraction(x)
 
 

@@ -297,13 +297,41 @@ def test_h1_holonomy_shape_errors(capsys, tmp_path, generators):
     assert not out and "input error" in err and "generators[" in err
 
 
-def test_h1_holonomy_refuses_non_real_entry(capsys, tmp_path):
-    path = dump_entry(tmp_path, "nonnilpotent3", with_j=False)
-    hol = tmp_path / "hol.json"
-    hol.write_text(json.dumps([[["1+1*i"]]]))
-    code, out, err = run(capsys, ["h1", path, "--holonomy", str(hol)])
-    assert code == 3 and not out
-    assert err == "input error: generators[0][0][0]: real entry required\n"
+@pytest.mark.parametrize("where, message", [
+    ("bracket", "brackets[0].out['3']"),
+    ("J", "J[0][1]"),
+    ("sigma", "sigma[1][1]"),
+    ("holonomy", "generators[0][0][0]"),
+    ("omega", "omega[0].coeff"),
+], ids=["bracket", "J", "sigma", "holonomy", "omega"])
+def test_h1_holonomy_refuses_non_real_entry(capsys, tmp_path, where, message):
+    """Every entry a command reads must be real: a complex literal in any of
+    them exits 3 with the entry's path."""
+    entry = get("abelian")
+    doc = jsonio.dump_algebra(entry.algebra, entry.j)
+    omega = [{"i": 1, "j": 2, "coeff": "1"}]
+    holonomy = []
+    if where == "bracket":
+        doc["brackets"] = [{"i": 1, "j": 2, "out": {"3": "1+1*i"}}]
+    elif where == "J":
+        doc["J"][0][1] = "i"
+    elif where == "sigma":
+        doc = {"dim": 2, "field": "complex", "sigma": [["1", "0"], ["0", "i"]]}
+    elif where == "holonomy":
+        doc = jsonio.dump_algebra(get("nonnilpotent3").algebra)
+        holonomy = [[["1+1*i"]]]
+    else:
+        omega[0]["coeff"] = "1-2*i"
+    files = {"alg": doc, "J": doc.get("J"), "omega": omega, "hol": holonomy}
+    for name, value in files.items():
+        (tmp_path / ("%s.json" % name)).write_text(json.dumps(value))
+    path = {name: str(tmp_path / ("%s.json" % name)) for name in files}
+    argv = {"J": ["verify-integrable", path["alg"]],
+            "omega": ["classify-form", path["alg"], "--J", path["J"],
+                      "--omega", path["omega"]]}.get(
+        where, ["h1", path["alg"], "--holonomy", path["hol"]])
+    assert run(capsys, argv) == (
+        3, "", "input error: %s: real entry required\n" % message)
 
 
 SCALAR_TRUE = "scalar literal must be a string or int, got True"

@@ -167,7 +167,7 @@ def _ce_d_reference(l, c):
     return Cochain(n, 3, out)
 
 
-_VALUES = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Scalar(1, 2)]
+_VALUES = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
 
 
 def _random_table_algebras(rng, count):
@@ -175,13 +175,12 @@ def _random_table_algebras(rng, count):
     for _ in range(count):
         n = rng.randint(2, 6)
         yield LieAlgebra(n, {
-            (i, j): {k: rng.choice(_VALUES[:5]) for k in rng.sample(range(n), 2)}
+            (i, j): {k: rng.choice(_VALUES) for k in rng.sample(range(n), 2)}
             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4})
 
 
 def _cochains(rng, n):
-    """A 0-cochain, the basis 1-forms, and random 1- and 2-cochains whose
-    coefficients are sometimes non-real."""
+    """A 0-cochain, the basis 1-forms, and random 1- and 2-cochains."""
     yield Cochain(n, 0, {(): 3})
     for i in range(n):
         yield _one_form(n, i)
@@ -247,9 +246,9 @@ def test_holonomy_action_validation():
 
 
 def test_holonomy_refuses_non_real_entries():
-    with pytest.raises(ValueError, match="holonomy entries must be real"):
+    with pytest.raises(ValueError, match="real entry required"):
         HolonomyAction([[[Scalar(1, 1)]]])
-    with pytest.raises(ValueError, match="holonomy entries must be real"):
+    with pytest.raises(ValueError, match="real entry required"):
         HolonomyAction([[["1+1*i"]]])
 
 

@@ -1,8 +1,9 @@
 """No module of the package imports a name it never uses or defines a
 function nothing reads, the exports of __init__ are the pinned API, the
-exact layers import no source of randomness or environment, start-up loads
-no module the commands do not need, and every name the benchmark's tracer
-patches still exists and is loaded by `import solvkit.cli`.
+exact layers import no source of randomness or environment, only the
+complex layers name Scalar, start-up loads no module the commands do not
+need, and every name the benchmark's tracer patches still exists and is
+loaded by `import solvkit.cli`.
 
 Stdlib-ast checks, since no linter is assumed: every name bound by a
 module-level import in src/solvkit/*.py must be read somewhere in that
@@ -132,7 +133,7 @@ API = [
     "ComplexSubalgebra", "EigenReport", "ExpForm", "GroupLawReport",
     "HolonomyAction", "IntegrabilityReport", "JacobiReport", "LatticeSpec",
     "LatticeTranslation", "LieAlgebra", "Poly", "Scalar", "SearchEntry",
-    "SweepResult", "TwoForm", "all_roots_pure_imaginary", "all_roots_real",
+    "SweepResult", "all_roots_pure_imaginary", "all_roots_real",
     "brackets_from_group_law", "build_lattice_nilpotent",
     "build_lattice_nonnilpotent", "ce_d", "char_poly", "classify",
     "classify_eigen", "classify_palindromic", "closed_compatible_space",
@@ -178,6 +179,25 @@ def test_the_check_sees_a_nested_import():
 def test_exact_layers_neither_sample_nor_read_the_environment(name):
     source = (SRC / ("%s.py" % name)).read_text()
     assert imported_modules(source) & {"random", "os"} == set()
+
+
+def names_used(source: str):
+    """Every name read, bound or imported in source (docstrings aside)."""
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {a.asname or a.name for n in ast.walk(tree)
+               if isinstance(n, (ast.Import, ast.ImportFrom))
+               for a in n.names})
+
+
+def test_only_the_complex_layers_name_scalar():
+    """scalars.exact is the one realness rule: the real layers read every
+    value through it and never name Scalar. It stays in scalars, expforms
+    (the coordinate forms), liealg (its bracket table and the realification
+    of complex constants) and the __init__ re-export."""
+    named = sorted(p.stem for p in SRC.glob("*.py")
+                   if "Scalar" in names_used(p.read_text()))
+    assert named == ["__init__", "expforms", "liealg", "scalars"]
 
 
 def test_no_dataclasses_and_hashlib_only_in_the_digest_helper():

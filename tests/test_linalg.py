@@ -13,6 +13,9 @@ from solvkit.polys import Poly
 from solvkit.scalars import Scalar, exact
 
 
+_KINDS = (int, Fraction)
+
+
 def _rand_matrix(rng, n, m):
     return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
              for _ in range(m)] for _ in range(n)]
@@ -33,9 +36,8 @@ def test_mat_mul_and_vec():
 def test_mat_vec_sparse_matches_dense():
     """Skipping zero entries keeps the values and the entry type."""
     rng = random.Random(13)
-    kinds = [int, Fraction, lambda x: Scalar(x, rng.choice([0, 0, 1]))]
     for _ in range(60):
-        conv = rng.choice(kinds)
+        conv = rng.choice(_KINDS)
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         a = [[conv(rng.choice([0, 0, 0, 1, -2, Fraction(1, 2)]))
               for _ in range(m)] for _ in range(n)]
@@ -63,10 +65,6 @@ def _mat_mul_reference(a, b):
     return out
 
 
-def _kinds(rng):
-    return [int, Fraction, lambda x: Scalar(x, rng.choice([0, 0, 1]))]
-
-
 def _sparse_matrix(rng, conv, n, m):
     """Mostly zero entries, with a whole zero row or column now and then."""
     a = [[conv(rng.choice([0, 0, 0, 1, -2, Fraction(1, 2)]))
@@ -86,13 +84,12 @@ def _types(m):
 
 def test_mat_mul_matches_dense_reference():
     """Skipping zero entries of a keeps the values and the entry types,
-    on int, Fraction and Scalar matrices of any shape."""
+    on int and Fraction matrices of any shape."""
     rng = random.Random(17)
-    kinds = _kinds(rng)
     for _ in range(150):
         n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
-        a = _sparse_matrix(rng, rng.choice(kinds), n, k)
-        b = _sparse_matrix(rng, rng.choice(kinds), k, m)
+        a = _sparse_matrix(rng, rng.choice(_KINDS), n, k)
+        b = _sparse_matrix(rng, rng.choice(_KINDS), k, m)
         got, want = linalg.mat_mul(a, b), _mat_mul_reference(a, b)
         assert got == want
         assert _types(got) == _types(want)
@@ -102,9 +99,8 @@ def test_mat_mul_matches_dense_reference():
 
 def test_mat_comb_matches_entrywise_sum():
     rng = random.Random(19)
-    kinds = _kinds(rng)
     for _ in range(100):
-        conv = rng.choice(kinds)
+        conv = rng.choice(_KINDS)
         n, m, r = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
         mats = [_sparse_matrix(rng, conv, n, m) for _ in range(r)]
         coeffs = [conv(rng.choice([0, 0, 1, -3])) for _ in range(r)]
@@ -198,6 +194,7 @@ def test_rref_matches_fraction_reference(a):
     got, want = linalg.rref(a), _rref_reference(a)
     assert got == want
     assert _types(got[0]) == _types(want[0])
+    assert linalg.rank(a) == len(want[0])
 
 
 @given(_matrices(square=True))
@@ -217,9 +214,9 @@ def test_scaled():
 
 def test_non_real_entries_are_refused():
     m = [[1, Scalar(0, 1)], [0, 1]]
-    for call in (linalg.scaled, linalg.rref, linalg.char_poly,
-                 lambda a: Subspace(2, a)):
-        with pytest.raises(ValueError, match="expected a real matrix entry"):
+    for call in (linalg.scaled, linalg.rref, linalg.rank, linalg.char_poly,
+                 linalg.det, lambda a: Subspace(2, a)):
+        with pytest.raises(ValueError, match="real entry required"):
             call(m)
 
 
@@ -258,8 +255,12 @@ def test_det_multiplicative():
 
 
 def test_det_scalar_entries():
+    """det is no longer field-generic: real Scalars are read as Fractions,
+    and a non-real entry is refused."""
+    assert linalg.det([[Scalar(2), Scalar(0)], [Scalar(0), Scalar(3)]]) == 6
     m = [[Scalar(0, 1), Scalar(0)], [Scalar(0), Scalar(0, 1)]]
-    assert linalg.det(m) == Scalar(-1)
+    with pytest.raises(ValueError, match="real entry required"):
+        linalg.det(m)
 
 
 def test_int_input_stays_exact():
@@ -268,6 +269,7 @@ def test_int_input_stays_exact():
     d = linalg.det([[2, 1], [1, 1]])
     assert d == 1 and type(d) is Fraction
     assert linalg.det([[1, 2], [3, 4]]) == -2
+    assert linalg.det([]) == 1 and type(linalg.det([])) is Fraction
     assert linalg.rref([[2, 4], [1, 3]]) == ([[1, 0], [0, 1]], [0, 1])
     assert Subspace(2, [[2, 1]]).rows == [[Fraction(1), Fraction(1, 2)]]
 

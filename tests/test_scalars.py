@@ -107,12 +107,13 @@ def test_sc_coercion():
 
 
 def test_exact_is_fraction_unless_non_real():
-    for x in (3, Fraction(-1, 2), "5/3", Scalar(7), Scalar(Fraction(1, 3), 0)):
+    for x in (3, Fraction(-1, 2), "5/3", "1 / 2", "1+0*i", Scalar(7),
+              Scalar(Fraction(1, 3), 0)):
         v = exact(x)
         assert type(v) is Fraction and v == sc(x)
-    for x in ("1+1*i", Scalar(0, 1), "-i"):
-        v = exact(x)
-        assert type(v) is Scalar and v == sc(x)
+    for x in ("1+1*i", Scalar(0, 1), "-i", "0+1/2*i"):
+        with pytest.raises(ValueError, match="^real entry required$"):
+            exact(x)
     with pytest.raises(TypeError):
         exact(0.5)
     with pytest.raises(ValueError):
@@ -184,7 +185,7 @@ def test_real_core_does_no_scalar_arithmetic(scalar_ops, tmp_path, capsys):
         example3.algebra, example3.j)["J"])
     omega = _write(tmp_path, "omega.json", [{"i": 1, "j": 2, "coeff": "1"},
                                             {"i": 3, "j": 4, "coeff": "1"}])
-    fixture = pkforms.TwoForm(6, {(0, 3): 2, (1, 2): 2, (4, 5): 2})
+    fixture = cohomology.Cochain(6, 2, {(0, 3): 2, (1, 2): 2, (4, 5): 2})
     scalar_ops[0] = 0
 
     for entry in entries:
