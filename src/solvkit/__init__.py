@@ -20,7 +20,8 @@ from .pkforms import (j_compatible, metric_from, signature, classify,
 from .expforms import (ExpForm, ext_d, conjugate_form, omega_coordinate,
                        maurer_cartan_forms, omega_mc, LatticeTranslation,
                        pullback_translation, restrict_identity)
-from .lattices import (EigenReport, classify_eigen, char_poly,
+from .linalg import char_poly
+from .lattices import (EigenReport, classify_eigen,
                        semisimple_commuting_check, LatticeSpec,
                        build_lattice_nilpotent, build_lattice_nonnilpotent,
                        nakamura_lattice, classify_palindromic,

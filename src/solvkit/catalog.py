@@ -384,15 +384,11 @@ class GroupLawReport(NamedTuple):
 
 def _numeric_span_dims(rows: np.ndarray, tol: float) -> int:
     import numpy as np
-    if rows.size == 0:
-        return 0
     return int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol))
 
 
 def _orthobasis(rows: np.ndarray, tol: float) -> np.ndarray:
     import numpy as np
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     keep = s > tol
     return vt[keep]

@@ -92,21 +92,13 @@ def cmd_catalog(args) -> int:
     if args.action == "list":
         _print({"command": "catalog list", "names": catalog.list_names()})
         return 0
-    try:
-        entry = catalog.get(args.name, **_collect_params(args.params))
-    except (UnknownName, ParamOutOfRange) as e:
-        sys.stderr.write("error: %s\n" % e)
-        return USAGE_ERROR
+    entry = catalog.get(args.name, **_collect_params(args.params))
     if args.action == "show":
         _print(jsonio.dump_algebra(entry.algebra, entry.j))
         return 0
     # crosscheck
-    try:
-        rep = catalog.brackets_from_group_law(entry, step=args.step,
-                                              rank_tol=args.rank_tol)
-    except NoGroupLaw as e:
-        sys.stderr.write("error: %s\n" % e)
-        return USAGE_ERROR
+    rep = catalog.brackets_from_group_law(entry, step=args.step,
+                                          rank_tol=args.rank_tol)
     _print({
         "command": "catalog crosscheck",
         "entry": entry.name,
@@ -316,12 +308,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnknownName, ParamOutOfRange, BoundTooLarge) as e:
+    except (UnknownName, ParamOutOfRange, BoundTooLarge, NoGroupLaw) as e:
         sys.stderr.write("error: %s\n" % e)
         return USAGE_ERROR
-    except SchemaError as e:
-        sys.stderr.write("input error: %s\n" % e)
-        return INPUT_ERROR
     except SolvkitError as e:
         sys.stderr.write("input error: %s\n" % e)
         return INPUT_ERROR

@@ -66,31 +66,6 @@ class Cochain:
         base = self.coeffs.get(key, Fraction(0))
         return base if sign == 1 else -base
 
-    def evaluate(self, *vectors: Sequence) -> Fraction:
-        if len(vectors) != self.degree:
-            raise ValueError("expected %d vectors" % self.degree)
-        vecs = [[exact(x) for x in v] for v in vectors]
-        if self.degree == 0:
-            return self.coeffs.get((), Fraction(0))
-        total = Fraction(0)
-        for key, val in self.coeffs.items():
-            # sum over assignments of the key's indices to argument slots
-            total = total + val * _alt_minor(vecs, key)
-        return total
-
-    def add(self, other: "Cochain") -> "Cochain":
-        if (self.dim, self.degree) != (other.dim, other.degree):
-            raise ValueError("cochain shape mismatch")
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, 0) + val
-        return Cochain(self.dim, self.degree, out)
-
-    def scale(self, factor) -> "Cochain":
-        f = exact(factor)
-        return Cochain(self.dim, self.degree,
-                       {k: f * v for k, v in self.coeffs.items()})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -140,13 +115,6 @@ def check_key(key: Sequence[int], degree: int, size: int) -> Tuple[int, ...]:
     return key
 
 
-def _alt_minor(vecs: List[List], key: Tuple[int, ...]):
-    """det of the matrix (vecs[r][key[c]]) — the alternating evaluation."""
-    k = len(key)
-    m = [[vecs[r][key[c]] for c in range(k)] for r in range(k)]
-    return linalg.det(m)
-
-
 def ce_d(l: LieAlgebra, c: Cochain) -> Cochain:
     """Chevalley-Eilenberg differential, exact, degrees 0 through 2.
 
@@ -190,6 +158,8 @@ class HolonomyAction:
         for t, g in enumerate(generators):
             mat = [[exact(x) for x in row] for row in g]
             where = "generators[%d]" % t
+            if not mat:
+                raise BadHolonomy("%s: matrix must be nonempty" % where)
             if any(len(row) != len(mat) for row in mat):
                 raise BadHolonomy("%s: matrix must be square" % where)
             if self.generators and len(mat) != len(self.generators[0]):

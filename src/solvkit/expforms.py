@@ -111,9 +111,6 @@ class ExpForm:
             raise ValueError("cannot add forms of different degree")
         return _form(self.degree, itertools.chain(_terms(self), _terms(other)))
 
-    def negate(self) -> "ExpForm":
-        return self.scale(Scalar(-1))
-
     def scale(self, factor) -> "ExpForm":
         f = sc(factor)
         return _form(self.degree, ((key, mono, f * value)
@@ -209,23 +206,14 @@ def omega_mc() -> ExpForm:
 
 
 class LatticeTranslation(NamedTuple):
-    """Left translation data; only the x-component ever matters.
+    """The x-component w1 = w1_re + i pi w1_im_pi of a left translation.
 
-    w1 = w1_re + i pi w1_im_pi. The y and z parts are carried for the
-    record: their differentials are translation-invariant, so they cannot
-    enter any pullback coefficient.
+    Only this component matters: the differentials of the y and z parts
+    are translation-invariant, so they cannot enter any pullback
+    coefficient, and they are not kept.
     """
     w1_re: Fraction = Fraction(0)
     w1_im_pi: Fraction = Fraction(0)
-    w2_re: Fraction = Fraction(0)
-    w3_re: Fraction = Fraction(0)
-
-    def compose(self, other: "LatticeTranslation") -> "LatticeTranslation":
-        # x-parts add under the group law; y, z parts are inert here and
-        # their exact composition involves e^{w1}, so they are dropped
-        return LatticeTranslation(
-            Fraction(self.w1_re) + Fraction(other.w1_re),
-            Fraction(self.w1_im_pi) + Fraction(other.w1_im_pi))
 
 
 # how many powers of e^{w1} (resp. e^{conj w1}) each generator contributes
@@ -261,11 +249,9 @@ def theorem9_checks() -> Dict[str, object]:
     omega_m = omega_mc()
     invariance = {}
     for k in (-2, -1, 0, 1, 2):
-        t = LatticeTranslation(w1_re=Fraction(1), w1_im_pi=Fraction(k),
-                               w2_re=Fraction(1, 3), w3_re=Fraction(-2))
+        t = LatticeTranslation(w1_re=Fraction(1), w1_im_pi=Fraction(k))
         invariance[str(k)] = pullback_translation(omega_c, t) == omega_c
-    half = LatticeTranslation(w1_re=Fraction(0), w1_im_pi=Fraction(1, 2),
-                              w2_re=Fraction(0), w3_re=Fraction(0))
+    half = LatticeTranslation(w1_re=Fraction(0), w1_im_pi=Fraction(1, 2))
     return {
         "presentations_equal": omega_c == omega_m,
         "d_omega_zero": ext_d(omega_c).is_zero() and ext_d(omega_m).is_zero(),

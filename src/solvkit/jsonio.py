@@ -27,7 +27,7 @@ from .cohomology import Cochain
 from .cxstruct import AlmostComplexStructure
 from .errors import SchemaError
 from .liealg import MAX_DIM, LieAlgebra
-from .scalars import exact, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_real
 
 
 def _read_json(path: str):
@@ -52,7 +52,7 @@ def _real_at(raw, where: str) -> Fraction:
     """The real value of the literal `raw`; SchemaError at `where` if it is
     malformed or not real."""
     try:
-        return exact(parse_scalar(raw))
+        return parse_real(raw)
     except ValueError as e:
         raise SchemaError("%s: %s" % (where, e))
 

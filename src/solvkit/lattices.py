@@ -47,11 +47,6 @@ def _int_det(a: IntMatrix) -> int:
     return int(d)
 
 
-def char_poly(a: Sequence[Sequence[int]]) -> Poly:
-    """Exact monic characteristic polynomial of an integer matrix."""
-    return linalg.char_poly(a)
-
-
 class EigenReport(NamedTuple):
     real_roots: int
     all_real: bool
@@ -133,7 +128,7 @@ def build_lattice_nilpotent(a: Sequence[Sequence[int]],
     am = _check_int_matrix(a, 2)
     if _int_det(am) not in (1, -1):
         raise NotSpecialLinear("matrix is not in GL(2, Z)")
-    cp = char_poly(am)
+    cp = linalg.char_poly(am)
     if all_roots_real(cp):
         raise NoNonRealEigenvalue("all eigenvalues are real")
     tr = am[0][0] + am[1][1]
@@ -149,10 +144,9 @@ def build_lattice_nilpotent(a: Sequence[Sequence[int]],
         margin = _independence_margin(delta)
         return LatticeSpec("nilpotent", am, None, None, delta, [1 + 0j, lam],
                            "n/a", 0.0, margin, cp)
-    if am[0][1] != 0:
-        alpha = np.array([am[0][1], lam - am[0][0]], dtype=complex)
-    else:
-        alpha = np.array([lam - am[1][1], am[1][0]], dtype=complex)
+    # am[0][1] != 0 here: a lower-triangular am has its integer diagonal
+    # as eigenvalues, refused above as real
+    alpha = np.array([am[0][1], lam - am[0][0]], dtype=complex)
     residual = _residual_eig(am, alpha, lam)
     if residual > RESIDUAL_TOL:
         raise DegenerateEigenvectors("eigenvector residual %.3g too large"
@@ -192,7 +186,7 @@ def build_lattice_nonnilpotent(a: Sequence[Sequence[int]],
     mp = linalg.min_poly(am)
     if not is_squarefree(mp):
         raise NotSemisimple("A is not semisimple")
-    cp = char_poly(am)
+    cp = linalg.char_poly(am)
     if not cp.is_palindromic():
         raise NotReciprocal("characteristic polynomial is not palindromic")
     bm: Optional[IntMatrix] = None
@@ -244,7 +238,7 @@ def build_lattice_nonnilpotent(a: Sequence[Sequence[int]],
         delta = complex((np.array(bm, dtype=complex) @ beta)[refb] / beta[refb])
         residuals.append(_residual_eig(bm, beta, delta))
         mu = cmath.log(delta)
-        b_real = all_roots_real(char_poly(bm))
+        b_real = all_roots_real(linalg.char_poly(bm))
     else:
         assert k is not None
         mu = complex(0.0, k * cmath.pi)
@@ -284,16 +278,10 @@ def nakamura_lattice(a2: Sequence[Sequence[int]], eps_im: Fraction,
     gamma = (tr + root) / 2.0 if tr > 0 else (tr - root) / 2.0  # |gamma| > 1
     gamma_inv = 1.0 / gamma
 
-    def real_eigvec(value: float) -> np.ndarray:
-        if am[0][1] != 0:
-            return np.array([am[0][1], value - am[0][0]], dtype=complex)
-        if am[1][0] != 0:
-            return np.array([value - am[1][1], am[1][0]], dtype=complex)
-        return np.array([1.0, 0.0], dtype=complex) if abs(am[0][0] - value) < 1e-9 \
-            else np.array([0.0, 1.0], dtype=complex)
-
-    avec = real_eigvec(gamma_inv)
-    bvec = real_eigvec(gamma)
+    # am[0][1] != 0 here: a lower-triangular am of det 1 has trace +-2,
+    # refused above
+    avec = np.array([am[0][1], gamma_inv - am[0][0]], dtype=complex)
+    bvec = np.array([am[0][1], gamma - am[0][0]], dtype=complex)
     try:
         eps = complex(0.0, float(eps_im))
     except OverflowError as exc:
@@ -316,7 +304,7 @@ def nakamura_lattice(a2: Sequence[Sequence[int]], eps_im: Fraction,
     lam = cmath.log(complex(gamma))
     mu = complex(0.0, k * cmath.pi)
     return LatticeSpec("non_nilpotent", a4, None, k, delta_gens, [lam, mu],
-                       "3a", residual, margin, char_poly(a4))
+                       "3a", residual, margin, linalg.char_poly(a4))
 
 
 def companion_palindromic(p: int, q: int) -> IntMatrix:

@@ -68,11 +68,8 @@ def signature(gram: Sequence[Sequence[object]]) -> Tuple[int, int]:
     but the exact number of positive (resp. negative) eigenvalues.
     """
     m = [[exact(x) for x in row] for row in gram]
-    n = len(m)
-    for i in range(n):
-        for k in range(n):
-            if m[i][k] != m[k][i]:
-                raise ValueError("matrix is not symmetric")
+    if not _is_symmetric(m):
+        raise ValueError("matrix is not symmetric")
     chi = linalg.char_poly(m)
     pos = descartes_positive_count(chi)
     neg = descartes_positive_count(chi.compose_negate())

@@ -139,12 +139,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
-
     # -- structure -----------------------------------------------------------
 
     def reciprocal(self) -> "Poly":

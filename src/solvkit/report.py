@@ -14,7 +14,8 @@ import time
 from fractions import Fraction
 from typing import Dict, List
 
-from . import catalog, cohomology, cxstruct, expforms, lattices, pkforms
+from . import (catalog, cohomology, cxstruct, expforms, lattices, linalg,
+               pkforms)
 from .cxstruct import j_from_images
 from .errors import NotIntegrable
 from .polys import Poly
@@ -103,7 +104,7 @@ def check_winkelmann_table() -> dict:
 
 
 def check_example6() -> dict:
-    cp = lattices.char_poly(EXAMPLE6_MATRIX)
+    cp = linalg.char_poly(EXAMPLE6_MATRIX)
     want = Poly([1, -1, 3, -1, 1])
     report = lattices.classify_eigen(cp)
     spec = lattices.build_lattice_nonnilpotent(EXAMPLE6_MATRIX, k=1)
@@ -272,7 +273,7 @@ def check_group_laws() -> dict:
             witness = {"entry": name, "invariants": rep.invariants,
                        "expected": rep.expected,
                        "assoc_residual": rep.assoc_residual}
-    return _verdict("C8-group-law-crosscheck", detail, _jsonable(witness))
+    return _verdict("C8-group-law-crosscheck", detail, witness)
 
 
 def check_example3() -> dict:
@@ -333,17 +334,3 @@ def run_all(seconds: Dict[str, float]) -> List[dict]:
     verdicts.append(_timed(lambda: check_determinism(verdicts), seconds))
     return verdicts
 
-
-def _jsonable(obj):
-    import numpy as np
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj

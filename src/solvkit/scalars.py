@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -37,12 +37,6 @@ class Scalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
-
-    # -- predicates ---------------------------------------------------
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -105,24 +99,8 @@ class Scalar:
             return NotImplemented
         return o / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = Scalar(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
 
     # -- comparison / hashing -----------------------------------------
 
@@ -138,21 +116,11 @@ class Scalar:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    # -- conversions ---------------------------------------------------
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         return "Scalar(%r)" % (format_scalar(self),)
 
     def __str__(self):
         return format_scalar(self)
-
-
-ZERO = Scalar(0)
-ONE = Scalar(1)
-I = Scalar(0, 1)
 
 
 def _format_rat(x: Fraction) -> str:
@@ -184,14 +152,14 @@ def _parse_rat(text: str) -> Fraction:
         raise ValueError("zero denominator in %r" % (text,))
 
 
-def parse_scalar(text) -> Scalar:
-    """Parse "p/q" or "p/q+r/s*i" (also bare "r/s*i") into a Scalar.
+def _parse_parts(text) -> Tuple[Fraction, Fraction]:
+    """(re, im) of "p/q" or "p/q+r/s*i" (also bare "r/s*i").
 
     Integers arriving from JSON are accepted as-is; floats and booleans
     (JSON true/false, which Python reads as ints) are rejected.
     """
     if isinstance(text, int) and not isinstance(text, bool):
-        return Scalar(text)
+        return Fraction(text), Fraction(0)
     if not isinstance(text, str):
         raise ValueError("scalar literal must be a string or int, got %r" % (text,))
     s = text.replace(" ", "")
@@ -215,8 +183,25 @@ def parse_scalar(text) -> Scalar:
             im = Fraction(-1)
         else:
             im = _parse_rat(im_part)
-        return Scalar(_parse_rat(re_part) if re_part != "0" else 0, im)
-    return Scalar(_parse_rat(s))
+        return _parse_rat(re_part), im
+    return _parse_rat(s), Fraction(0)
+
+
+def parse_scalar(text) -> Scalar:
+    """Parse "p/q" or "p/q+r/s*i" (also bare "r/s*i") into a Scalar."""
+    return Scalar(*_parse_parts(text))
+
+
+def _real(re_part: Fraction, im_part: Fraction) -> Fraction:
+    if im_part:
+        raise ValueError("real entry required")
+    return re_part
+
+
+def parse_real(text) -> Fraction:
+    """The value of a literal in parse_scalar's grammar, read without a
+    Scalar; ValueError if it is malformed or not real."""
+    return _real(*_parse_parts(text))
 
 
 def exact(x) -> Fraction:
@@ -228,11 +213,9 @@ def exact(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        x = parse_scalar(x)
+        return parse_real(x)
     if isinstance(x, Scalar):
-        if x.im:
-            raise ValueError("real entry required")
-        return x.re
+        return _real(x.re, x.im)
     return _as_fraction(x)
 
 

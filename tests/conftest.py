@@ -11,9 +11,13 @@ import json
 import pathlib
 import sys
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
+
+from solvkit import linalg
+from solvkit.scalars import exact
 
 settings.register_profile("solvkit", database=None, derandomize=True,
                           deadline=None)
@@ -79,3 +83,31 @@ def structural_builds(monkeypatch):
     monkeypatch.setattr(liealg, "_cartan_solvable", counted_cartan)
     monkeypatch.setattr(liealg.LieAlgebra, "_integer_adjoints", prop)
     return calls
+
+
+def _alt_minor(vecs, key):
+    """det of the matrix (vecs[r][key[c]]) — the alternating evaluation."""
+    k = len(key)
+    m = [[vecs[r][key[c]] for c in range(k)] for r in range(k)]
+    return linalg.det(m)
+
+
+def _evaluate(c, *vectors):
+    if len(vectors) != c.degree:
+        raise ValueError("expected %d vectors" % c.degree)
+    vecs = [[exact(x) for x in v] for v in vectors]
+    if c.degree == 0:
+        return c.coeffs.get((), Fraction(0))
+    total = Fraction(0)
+    for key, val in c.coeffs.items():
+        # sum over assignments of the key's indices to argument slots
+        total = total + val * _alt_minor(vecs, key)
+    return total
+
+
+@pytest.fixture
+def evaluate():
+    """evaluate(c, *vectors): the cochain c on vectors by the definition,
+    the sum over its keys of coefficient times the vectors' minor on the
+    key; the reference the cochain and 2-form tests compare against."""
+    return _evaluate

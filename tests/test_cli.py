@@ -106,6 +106,11 @@ def test_catalog_crosscheck(capsys):
     assert doc["assoc_residual"] <= 1e-9
 
 
+def test_catalog_crosscheck_without_a_group_law_is_a_usage_error(capsys):
+    assert run(capsys, ["catalog", "crosscheck", "inoue-s0"]) == (
+        2, "", "error: entry 'inoue-s0' carries no group law\n")
+
+
 STEP = "argument --step: expected 1e-12 <= |step| <= 1e-1, got '%s'"
 RANK_TOL = "argument --rank-tol: expected a finite number >= 0, got '%s'"
 

@@ -65,7 +65,7 @@ def test_wedge_antisymmetry_and_associativity():
         a = _rand_form(rng, 1)
         b = _rand_form(rng, 1)
         c = _rand_form(rng, 1)
-        assert a.wedge(b) == b.wedge(a).negate()
+        assert a.wedge(b) == b.wedge(a).scale(-1)
         assert a.wedge(a).is_zero()
         assert a.wedge(b.wedge(c)) == a.wedge(b).wedge(c)
         assert a.wedge(b.add(c)) == a.wedge(b).add(a.wedge(c))
@@ -84,7 +84,7 @@ def test_d_leibniz_degree_one():
         a = _rand_form(rng, 1)
         b = _rand_form(rng, 1)
         lhs = ext_d(a.wedge(b))
-        rhs = ext_d(a).wedge(b).add(a.wedge(ext_d(b)).negate())
+        rhs = ext_d(a).wedge(b).add(a.wedge(ext_d(b)).scale(-1))
         assert lhs == rhs
 
 
@@ -100,7 +100,7 @@ def test_maurer_cartan_structure_equations():
     w1, w2, w3 = maurer_cartan_forms()
     assert ext_d(w1).is_zero()
     assert ext_d(w2) == w1.wedge(w2)
-    assert ext_d(w3) == w1.wedge(w3).negate()
+    assert ext_d(w3) == w1.wedge(w3).scale(-1)
 
 
 def test_omega_presentations_agree():
@@ -126,8 +126,7 @@ def test_omega_cubed_is_volume():
 def test_pullback_invariance_grid():
     w = omega_coordinate()
     for k in (-2, -1, 0, 1, 2):
-        t = LatticeTranslation(w1_re=Fraction(1), w1_im_pi=Fraction(k),
-                               w2_re=Fraction(1, 3), w3_re=Fraction(-2))
+        t = LatticeTranslation(w1_re=Fraction(1), w1_im_pi=Fraction(k))
         assert pullback_translation(w, t) == w, k
 
 
@@ -146,7 +145,8 @@ def test_pullback_multiplicative():
                                 w1_im_pi=Fraction(rng.randint(-2, 2), 2))
         t2 = LatticeTranslation(w1_re=Fraction(rng.randint(-2, 2)),
                                 w1_im_pi=Fraction(rng.randint(-2, 2), 2))
-        both = t1.compose(t2)
+        both = LatticeTranslation(t1.w1_re + t2.w1_re,
+                                  t1.w1_im_pi + t2.w1_im_pi)
         assert pullback_translation(pullback_translation(f, t1), t2) == \
             pullback_translation(f, both)
 
@@ -424,11 +424,11 @@ def test_operations_match_the_reference_route():
         for form in (f, g, h, moved):
             _assert_canonical(form)
         _assert_matches(f.add(h), d1, _add_reference(f, h))
-        _assert_matches(f.add(f.negate()), d1, {})
+        _assert_matches(f.add(f.scale(-1)), d1, {})
         _assert_matches(moved.add(h), d1, _add_reference(moved, h))
         factor = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
         _assert_matches(f.scale(factor), d1, _scale_reference(f, factor))
-        _assert_matches(f.negate(), d1, _scale_reference(f, Scalar(-1)))
+        _assert_matches(f.scale(-1), d1, _scale_reference(f, Scalar(-1)))
         for x, y in ((f, g), (moved, g), (g, moved), (f, f)):
             _assert_matches(x.wedge(y), min(x.degree + y.degree, 6),
                             _wedge_reference(x, y))

