@@ -143,29 +143,24 @@ def subalgebra_from_j(l: LieAlgebra, j: AlmostComplexStructure) -> ComplexSubalg
         raise NotIntegrable("Nijenhuis tensor nonzero on basis pair %r" % (rep.witness,))
     n = l.dim
     lc = l.complexify()
-    vecs = []
-    for k in range(n):
-        ek = l._e(k)
-        jek = j.apply(ek)
-        vecs.append(ek + jek)                       # X_k + i J X_k
-        vecs.append([-x for x in jek] + ek)          # i (X_k + i J X_k)
-    space = Subspace(2 * n, vecs)
-    if space.dim != n:
+    t, jt = j.scaled    # rows t (X_k + i J X_k): t e_k, then column k of t J
+    rows = [[t * (i == k) for i in range(n)] + [r[k] for r in jt]
+            for k in range(n)]
+    if linalg.rank(rows + _images(lc.mult_i_matrix(), rows)) != n:
         raise InternalCheckFailed("holomorphic subspace has wrong dimension")
-    # direct sum with the conjugate copy
-    conj_vecs = [_apply_sigma(lc, v) for v in space.basis]
-    if linalg.rank(space.basis + conj_vecs) != 2 * n:
+    if linalg.rank(rows + _images(lc.sigma, rows)) != 2 * n:
         raise NotTransverse("subspace meets its conjugate nontrivially")
+    space = Subspace(2 * n, rows)
     # bracket closure (equivalent to the vanishing already checked; verified
     # independently, on lc's own adjoints, so the two roads cross-check)
-    if not lc.bracket_span(space, space) <= space:
+    if linalg.rank(rows + lc.bracket_span(space, space).basis) != n:
         raise InternalCheckFailed("integrable J produced a non-closed subspace")
     return ComplexSubalgebra(lc, space)
 
 
-def _apply_sigma(lc: LieAlgebra, v: Sequence) -> List[Fraction]:
-    assert lc.sigma is not None
-    return linalg.mat_vec(lc.sigma, v)
+def _images(m: List[List[Fraction]], rows: List[List[int]]) -> List[List[int]]:
+    """A positive multiple of m v for each int row v."""
+    return linalg.mat_mul(rows, linalg.transpose(linalg.scaled(m)[1]))
 
 
 def j_from_subspace(lc: LieAlgebra, space: Subspace) -> AlmostComplexStructure:
@@ -176,22 +171,20 @@ def j_from_subspace(lc: LieAlgebra, space: Subspace) -> AlmostComplexStructure:
     basis vector X of the original algebra the unique element of h with
     real part X has imaginary part JX. With R and M the real and imaginary
     halves of h's basis rows, that element is c M for c R = X, so
-    J = M^T (R^T)^(-1).
+    J = M^T (R^T)^(-1), read off the scaled rows (their factor cancels).
     """
     if lc.form != "complex" or lc.sigma is None:
         raise ValueError("expected a complexification with conjugation")
     n = lc.dim // 2
     if space.ambient != 2 * n:
         raise ValueError("subspace lives in the wrong ambient space")
-    mi = lc.mult_i_matrix()
-    for v in space.basis:
-        if not space.contains(linalg.mat_vec(mi, v)):
-            raise NotTransverse("subspace is not invariant under multiplication by i")
-    conj_vecs = [_apply_sigma(lc, v) for v in space.basis]
-    if space.dim != n or linalg.rank(space.basis + conj_vecs) != 2 * n:
+    rows = linalg.scaled(space.basis)[1]
+    if linalg.rank(rows + _images(lc.mult_i_matrix(), rows)) != space.dim:
+        raise NotTransverse("subspace is not invariant under multiplication by i")
+    if space.dim != n or linalg.rank(rows + _images(lc.sigma, rows)) != 2 * n:
         raise NotTransverse("subspace and its conjugate do not split the space")
-    b_re = [row[:n] for row in space.basis]
-    b_im = [row[n:] for row in space.basis]
+    b_re = [row[:n] for row in rows]
+    b_im = [row[n:] for row in rows]
     try:
         re_inv = linalg.inverse(linalg.transpose(b_re))
     except ValueError as exc:

@@ -2,9 +2,9 @@
 
 Matrices are plain lists of lists; vectors are lists. Entries are read
 through scalars.exact, so floats and non-real values are refused. The
-eliminations (rref, rank and all that reads them) and char_poly run on
-the ints of scaled, through the one fraction-free echelon_add, and return
-exact Fractions.
+eliminations (rref, rank and all that reads them), char_poly and min_poly
+run on the ints of scaled, through the one fraction-free echelon_add, and
+return exact Fractions.
 
 This is the one place that multiplies or combines matrices. mat_mul,
 mat_vec and mat_comb share one rule: zero entries (zero coefficients for
@@ -260,15 +260,18 @@ def char_poly(a: Mat) -> Poly:
 def min_poly(a: Mat) -> Poly:
     """Monic minimal polynomial: the first linear dependence of I, a, a^2, ...
 
-    The columns flat(a^0..a^n) have pivots 0..d-1 before the first free
-    column d, so the first kernel vector is (c_0, ..., c_{d-1}, 1, 0, ...).
+    For B = s a from scaled, flat(B^d) and e_d go through echelon_add as one
+    row until a row ends as (0, e): then sum_k e_k s^k a^k = 0.
     """
-    m = [[exact(x) for x in row] for row in a]
-    powers = [identity(len(m))]
-    for _ in m:
-        powers.append(mat_mul(powers[-1], m))
-    flats = [[x for row in p for x in row] for p in powers]
-    return Poly(nullspace(transpose(flats))[0])
+    s, b = scaled(a)
+    n, echelon = len(b), []
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for d in range(n + 1):      # by Cayley-Hamilton, some d <= n ends it
+        red = echelon_add(echelon, [x for row in power for x in row]
+                          + [int(k == d) for k in range(n + 1)])
+        if not any(red[:n * n]):
+            return Poly(x * s ** k for k, x in enumerate(red[n * n:])).monic()
+        power = mat_mul(power, b)
 
 
 # -- subspaces ---------------------------------------------------------------

@@ -68,7 +68,7 @@ def signature(gram: Sequence[Sequence[object]]) -> Tuple[int, int]:
     but the exact number of positive (resp. negative) eigenvalues.
     """
     m = [[exact(x) for x in row] for row in gram]
-    if not _is_symmetric(m):
+    if any(len(row) != len(m) for row in m) or not _is_symmetric(m):
         raise ValueError("matrix is not symmetric")
     chi = linalg.char_poly(m)
     pos = descartes_positive_count(chi)

@@ -11,7 +11,7 @@ from contextlib import redirect_stdout
 import pytest
 
 import solvkit
-from solvkit import catalog, jsonio, report
+from solvkit import catalog, cli, jsonio, report
 from solvkit.catalog import get
 from solvkit.cli import main
 from solvkit.lattices import search_palindromic
@@ -625,6 +625,36 @@ def test_exact_commands_never_import_numpy(tmp_path):
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+def test_only_verify_integrable_loads_hashlib(tmp_path):
+    """paper-report prints a pinned digest and lattice search none, so
+    neither loads OpenSSL; verify-integrable still digests its file."""
+    path = dump_entry(tmp_path, "hyperelliptic")
+    code = ("import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from solvkit.cli import main\n"
+            "for argv in (['paper-report'],\n"
+            "             ['lattice', 'search', '--bound', '5']):\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) in (0, 1), argv\n"
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+            "printed = io.StringIO()\n"
+            "with redirect_stdout(printed):\n"
+            "    assert main(['verify-integrable', %r]) == 0\n"
+            "print(json.loads(printed.getvalue())['input_digest'])\n" % path)
+    src = os.path.dirname(os.path.dirname(solvkit.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert out.stdout.splitlines() == ["[]", digest]
+
+
+def test_the_pinned_inputs_digest_is_the_sha256_of_the_catalog_names():
+    names = json.dumps(catalog.list_names()).encode("utf-8")
+    assert cli.INPUTS_DIGEST == hashlib.sha256(names).hexdigest()
 
 
 @pytest.fixture(scope="module")

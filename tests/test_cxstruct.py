@@ -1,6 +1,7 @@
 """Almost complex structures, Nijenhuis tensor, and the subalgebra
 correspondence in both directions."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -9,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvkit import catalog, cxstruct, linalg
+from solvkit import catalog, cxstruct, linalg, report
 from solvkit.cxstruct import (AlmostComplexStructure, IntegrabilityReport,
                               is_complex_lie_algebra, is_integrable,
                               j_from_images, j_from_subspace, nijenhuis,
                               subalgebra_from_j, tautological_j)
-from solvkit.errors import NotIntegrable, NotTransverse
+from solvkit.errors import InternalCheckFailed, NotIntegrable, NotTransverse
 from solvkit.liealg import LieAlgebra, realify_complex_brackets
 from solvkit.scalars import Scalar, exact
 
@@ -307,6 +308,145 @@ def test_j_from_subspace_matches_solve_route(pair):
     sub = subalgebra_from_j(l, j)
     back = j_from_subspace(sub.ambient, sub.basis)
     assert back == _j_from_subspace_reference(sub.ambient, sub.basis) == j
+
+
+def _subalgebra_from_j_reference(l, j):
+    """The Fraction route subalgebra_from_j replaced: every vector through
+    a dense mat_vec, the closure through a contains per vector."""
+    rep = is_integrable(l, j)
+    if not rep.ok:
+        raise NotIntegrable("Nijenhuis tensor nonzero on basis pair %r" % (rep.witness,))
+    n = l.dim
+    lc = l.complexify()
+    vecs = []
+    for k in range(n):
+        ek = l._e(k)
+        jek = j.apply(ek)
+        vecs.append(ek + jek)                       # X_k + i J X_k
+        vecs.append([-x for x in jek] + ek)          # i (X_k + i J X_k)
+    space = linalg.Subspace(2 * n, vecs)
+    if space.dim != n:
+        raise InternalCheckFailed("holomorphic subspace has wrong dimension")
+    # direct sum with the conjugate copy
+    conj_vecs = [_apply_sigma_reference(lc, v) for v in space.basis]
+    if linalg.rank(space.basis + conj_vecs) != 2 * n:
+        raise NotTransverse("subspace meets its conjugate nontrivially")
+    # bracket closure (equivalent to the vanishing already checked; verified
+    # independently, on lc's own adjoints, so the two roads cross-check)
+    if not lc.bracket_span(space, space) <= space:
+        raise InternalCheckFailed("integrable J produced a non-closed subspace")
+    return cxstruct.ComplexSubalgebra(lc, space)
+
+
+def _apply_sigma_reference(lc, v):
+    assert lc.sigma is not None
+    return linalg.mat_vec(lc.sigma, v)
+
+
+def _j_from_subspace_dense_reference(lc, space):
+    """The Fraction route j_from_subspace replaced: i-invariance by a
+    contains per basis vector, sigma by a dense mat_vec per vector."""
+    if lc.form != "complex" or lc.sigma is None:
+        raise ValueError("expected a complexification with conjugation")
+    n = lc.dim // 2
+    if space.ambient != 2 * n:
+        raise ValueError("subspace lives in the wrong ambient space")
+    mi = lc.mult_i_matrix()
+    for v in space.basis:
+        if not space.contains(linalg.mat_vec(mi, v)):
+            raise NotTransverse("subspace is not invariant under multiplication by i")
+    conj_vecs = [_apply_sigma_reference(lc, v) for v in space.basis]
+    if space.dim != n or linalg.rank(space.basis + conj_vecs) != 2 * n:
+        raise NotTransverse("subspace and its conjugate do not split the space")
+    b_re = [row[:n] for row in space.basis]
+    b_im = [row[n:] for row in space.basis]
+    try:
+        re_inv = linalg.inverse(linalg.transpose(b_re))
+    except ValueError as exc:
+        raise NotTransverse("real parts of the subspace do not span") from exc
+    return AlmostComplexStructure(
+        linalg.mat_mul(linalg.transpose(b_im), re_inv))
+
+
+def _round_trip_reference(l, j):
+    """(subalgebra, recovered J) by the Fraction route, or what it raised."""
+    return _outcome(lambda: _round_trip(
+        l, j, _subalgebra_from_j_reference, _j_from_subspace_dense_reference))
+
+
+def _round_trip(l, j, to_space=subalgebra_from_j, to_j=j_from_subspace):
+    sub = to_space(l, j)
+    return sub.basis, to_j(sub.ambient, sub.basis)
+
+
+def _outcome(call):
+    """call(), or the type and message of the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_round_trip_matches_the_dense_route_on_the_catalog():
+    """Every integrable catalog pair, each carried along by a seeded
+    fractional P, and the report's negative controls."""
+    rng = random.Random(26)
+    pairs = []
+    for name in catalog.list_names():
+        entry = catalog.get(name)
+        if entry.j is not None:
+            p = _lu_p(rng.choice, entry.algebra.dim)
+            pairs += [(entry.algebra, entry.j),
+                      (_transport(entry.algebra, p), _conjugate(entry.j, p))]
+    for name, _ in report.NEGATIVE_CONTROLS:
+        entry = catalog.get(name)
+        pairs.append((entry.algebra, report.pair_swap_j(entry.algebra.dim)))
+    outcomes = [_outcome(lambda: _round_trip(l, j)) for l, j in pairs]
+    assert outcomes == [_round_trip_reference(l, j) for l, j in pairs]
+    assert all(back == j for (_, back), (_, j) in zip(outcomes[:-3], pairs))
+    assert [o[0] for o in outcomes[-3:]] == [NotIntegrable] * 3
+
+
+def _seeded_subspaces(rng, lc):
+    """Subspaces of lc (split basis, n = lc.dim // 2) of four kinds: any n
+    vectors, i-invariant of dimension n - 2 or n, and i-invariant of
+    dimension n through a real vector."""
+    n = lc.dim // 2
+
+    def vec():
+        return [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                for _ in range(2 * n)]
+
+    def with_i(vs):
+        return vs + [[-x for x in v[n:]] + v[:n] for v in vs]
+
+    real = vec()[:n] + [0] * n
+    return [linalg.Subspace(2 * n, vs) for vs in (
+        [vec() for _ in range(n)],
+        with_i([vec() for _ in range(n // 2 - 1)]),
+        with_i([vec() for _ in range(n // 2)]),
+        with_i([real] + [vec() for _ in range(n // 2 - 1)]),
+    )]
+
+
+def test_j_from_subspace_refuses_as_the_dense_route_did():
+    """Seeded subspaces that are not i-invariant, not of half dimension or
+    not transverse, and transverse ones, with the standard conjugation and
+    one that swaps coordinates: the same J or the same refusal."""
+    rng = random.Random(62)
+    seen = collections.Counter()
+    for name in ("hyperelliptic", "inoue-s0", "nonnilpotent3"):
+        lc = catalog.get(name).algebra.complexify()
+        swap = LieAlgebra(lc.dim, {}, form="complex", sigma=[
+            [int(c == r ^ 1) for c in range(lc.dim)] for r in range(lc.dim)])
+        for _ in range(8):
+            for amb in (lc, swap):
+                for space in _seeded_subspaces(rng, amb):
+                    got = _outcome(lambda: j_from_subspace(amb, space))
+                    assert got == _outcome(
+                        lambda: _j_from_subspace_dense_reference(amb, space))
+                    seen[got[1] if isinstance(got, tuple) else "J"] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
 
 
 def test_tautological_j_is_complex_linear():

@@ -249,7 +249,8 @@ def test_only_the_complex_layers_name_scalar():
 
 def test_no_dataclasses_and_hashlib_only_in_the_digest_helper():
     """Start-up pays for neither: dataclasses pulls in inspect and ast, and
-    hashlib loads OpenSSL for the two commands that take a digest."""
+    hashlib loads OpenSSL for verify-integrable, the one command that
+    digests (paper-report prints a pinned constant)."""
     sites = {(path.stem, scope, name) for path in SRC.glob("*.py")
              for scope, name in import_sites(path.read_text())
              if name in ("dataclasses", "hashlib")}

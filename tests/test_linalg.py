@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from solvkit import linalg
 from solvkit.linalg import Subspace
-from solvkit.polys import Poly
+from solvkit.polys import Poly, is_squarefree
 from solvkit.scalars import Scalar, exact
 
 
@@ -316,6 +316,19 @@ def test_min_poly():
 
 
 def _min_poly_reference(a):
+    """The Fraction route min_poly replaced: one kernel of the flattened
+    powers a^0..a^n, whose columns have pivots 0..d-1 before the first free
+    column d, so the first kernel vector is (c_0, ..., c_{d-1}, 1, 0, ...).
+    """
+    m = [[exact(x) for x in row] for row in a]
+    powers = [linalg.identity(len(m))]
+    for _ in m:
+        powers.append(linalg.mat_mul(powers[-1], m))
+    flats = [[x for row in p for x in row] for p in powers]
+    return Poly(linalg.nullspace(linalg.transpose(flats))[0])
+
+
+def _min_poly_by_rank(a):
     """The first dependence of the powers, found one rank test at a time."""
     m = [[Fraction(x) for x in row] for row in a]
     n = len(m)
@@ -354,7 +367,53 @@ def test_min_poly_matches_reference():
             if linalg.det(p) == 0:
                 continue
             a = linalg.mat_mul(linalg.mat_mul(p, d), linalg.inverse(p))
-        assert linalg.min_poly(a) == _min_poly_reference(a)
+        assert linalg.min_poly(a) == _min_poly_by_rank(a)
+
+
+def _jordan_in_random_basis(rng, n):
+    """P D P^-1 for D of Jordan blocks of size 1-3 on eigenvalues -1..1
+    and an invertible int P: non-semisimple whenever a block has size > 1,
+    singular whenever 0 is an eigenvalue."""
+    d = [[0] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size, lam = min(rng.randint(1, 3), n - start), rng.randint(-1, 1)
+        for i in range(start, start + size):
+            d[i][i] = lam
+            if i + 1 < start + size:
+                d[i][i + 1] = 1
+        start += size
+    while True:
+        p = [[rng.randint(-2, 2) + 3 * (i == j) for j in range(n)]
+             for i in range(n)]
+        if linalg.det(p):
+            return linalg.mat_mul(linalg.mat_mul(p, d), linalg.inverse(p))
+
+
+def test_min_poly_matches_the_dense_route():
+    """The int route against the Fraction route it replaced, on 240 seeded
+    matrices of sizes 1-6: int, Fraction, singular int, and Jordan forms
+    in a random basis."""
+    rng = random.Random(26)
+    singular = repeated = 0
+    for trial in range(240):
+        n = rng.randint(1, 6)
+        if trial % 4 == 0:
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        elif trial % 4 == 1:
+            a = _rand_matrix(rng, n, n)
+        elif trial % 4 == 2:    # the last row a combination of the others
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+            c = [rng.randint(-2, 2) for _ in a]
+            a.append([sum(x * row[k] for x, row in zip(c, a))
+                      for k in range(n)])
+        else:
+            a = _jordan_in_random_basis(rng, n)
+        got = linalg.min_poly(a)
+        assert got == _min_poly_reference(a)
+        singular += got[0] == 0
+        repeated += not is_squarefree(got)
+    assert singular >= 60 and repeated >= 30
 
 
 def test_subspace_basics():

@@ -82,6 +82,14 @@ def test_signature_basics():
         signature([[0, 1], [2, 0]])
 
 
+@pytest.mark.parametrize("gram", [
+    [[1, 2]], [[1], [2]], [[1, 2], [2, 1], [0, 0]], [[1, 0], [0]],
+], ids=["1x2", "2x1", "3x2", "ragged"])
+def test_signature_refuses_a_matrix_that_is_not_square(gram):
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        signature(gram)
+
+
 def test_signature_refuses_non_real_matrix():
     for gram in ([["1+1*i", 0], [0, 1]], [[1, "i"], ["-i", 1]]):
         with pytest.raises(ValueError, match="real entry required"):
