@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -307,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # OpenBLAS reads it as numpy loads; its idle worker would spin ~60 ms
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -146,9 +146,10 @@ def subalgebra_from_j(l: LieAlgebra, j: AlmostComplexStructure) -> ComplexSubalg
     t, jt = j.scaled    # rows t (X_k + i J X_k): t e_k, then column k of t J
     rows = [[t * (i == k) for i in range(n)] + [r[k] for r in jt]
             for k in range(n)]
-    if linalg.rank(rows + _images(lc.mult_i_matrix(), rows)) != n:
+    mult_i, sigma = lc._integer_i_and_sigma
+    if linalg.rank(rows + linalg.mat_mul(rows, mult_i)) != n:
         raise InternalCheckFailed("holomorphic subspace has wrong dimension")
-    if linalg.rank(rows + _images(lc.sigma, rows)) != 2 * n:
+    if linalg.rank(rows + linalg.mat_mul(rows, sigma)) != 2 * n:
         raise NotTransverse("subspace meets its conjugate nontrivially")
     space = Subspace(2 * n, rows)
     # bracket closure (equivalent to the vanishing already checked; verified
@@ -156,11 +157,6 @@ def subalgebra_from_j(l: LieAlgebra, j: AlmostComplexStructure) -> ComplexSubalg
     if linalg.rank(rows + lc.bracket_span(space, space).basis) != n:
         raise InternalCheckFailed("integrable J produced a non-closed subspace")
     return ComplexSubalgebra(lc, space)
-
-
-def _images(m: List[List[Fraction]], rows: List[List[int]]) -> List[List[int]]:
-    """A positive multiple of m v for each int row v."""
-    return linalg.mat_mul(rows, linalg.transpose(linalg.scaled(m)[1]))
 
 
 def j_from_subspace(lc: LieAlgebra, space: Subspace) -> AlmostComplexStructure:
@@ -179,9 +175,10 @@ def j_from_subspace(lc: LieAlgebra, space: Subspace) -> AlmostComplexStructure:
     if space.ambient != 2 * n:
         raise ValueError("subspace lives in the wrong ambient space")
     rows = linalg.scaled(space.basis)[1]
-    if linalg.rank(rows + _images(lc.mult_i_matrix(), rows)) != space.dim:
+    mult_i, sigma = lc._integer_i_and_sigma
+    if linalg.rank(rows + linalg.mat_mul(rows, mult_i)) != space.dim:
         raise NotTransverse("subspace is not invariant under multiplication by i")
-    if space.dim != n or linalg.rank(rows + _images(lc.sigma, rows)) != 2 * n:
+    if space.dim != n or linalg.rank(rows + linalg.mat_mul(rows, sigma)) != 2 * n:
         raise NotTransverse("subspace and its conjugate do not split the space")
     b_re = [row[:n] for row in rows]
     b_im = [row[n:] for row in rows]

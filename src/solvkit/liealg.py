@@ -325,6 +325,15 @@ class LieAlgebra:
             out[k][m + k] = Fraction(-1)
         return out
 
+    @functools.cached_property
+    def _integer_i_and_sigma(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """(I, S) in ints, with v I and v S positive multiples of i v and
+        sigma v for each row v: the transposes of scaled mult_i_matrix()
+        and sigma. Built once per complex-form algebra with sigma and read
+        by cxstruct's i-invariance and transversality checks."""
+        return tuple(linalg.transpose(linalg.scaled(m)[1])
+                     for m in (self.mult_i_matrix(), self.sigma))
+
     @property
     def complex_dim(self) -> int:
         if self.form != "complex":

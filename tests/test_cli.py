@@ -627,6 +627,29 @@ def test_exact_commands_never_import_numpy(tmp_path):
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_the_command_line_loads_numpy_on_one_thread(setting):
+    """main sets OPENBLAS_NUM_THREADS=1 before numpy loads, so OpenBLAS
+    starts no worker thread, whatever the caller's environment said."""
+    code = ("import io, os, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from solvkit.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    assert main(['catalog', 'crosscheck', 'nilpotent3']) == 0\n"
+            "print('numpy' in sys.modules,"
+            " len(os.listdir('/proc/self/task')))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(solvkit.__file__)))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["True", "1"]
+
+
 def test_only_verify_integrable_loads_hashlib(tmp_path):
     """paper-report prints a pinned digest and lattice search none, so
     neither loads OpenSSL; verify-integrable still digests its file."""
