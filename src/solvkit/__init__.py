@@ -4,19 +4,18 @@ algebras, with integer-matrix lattice constructions and a JSON CLI.
 """
 
 from .scalars import Scalar, parse_scalar, format_scalar, sc
-from .polys import (Poly, poly_from_descending, squarefree_part, is_squarefree,
-                    count_real_roots, all_roots_real, all_roots_pure_imaginary,
-                    has_unit_modulus_root, factor_rational)
+from .polys import (Poly, is_squarefree, count_real_roots, all_roots_real,
+                    all_roots_pure_imaginary, has_unit_modulus_root,
+                    factor_rational)
 from .liealg import LieAlgebra, JacobiReport, realify_complex_brackets
-from .cxstruct import (AlmostComplexStructure, j_from_images, nijenhuis,
-                       is_integrable, IntegrabilityReport, ComplexSubalgebra,
-                       subalgebra_from_j, j_from_subspace,
-                       is_complex_lie_algebra, tautological_j)
+from .cxstruct import (AlmostComplexStructure, j_from_images, is_integrable,
+                       IntegrabilityReport, ComplexSubalgebra,
+                       subalgebra_from_j, j_from_subspace, tautological_j)
 from .cohomology import (Cochain, ce_d, h1_lie, HolonomyAction, winkelmann_h1,
                          closed_holomorphic_1forms, pseudo_kahler_obstruction)
-from .pkforms import (j_compatible, metric_from, signature, classify,
-                      ClassifyResult, closed_compatible_space,
-                      sweep_invariant_forms, SweepResult)
+from .pkforms import (signature, classify, ClassifyResult,
+                      closed_compatible_space, sweep_invariant_forms,
+                      SweepResult)
 from .expforms import (ExpForm, ext_d, conjugate_form, omega_coordinate,
                        maurer_cartan_forms, omega_mc, LatticeTranslation,
                        pullback_translation, restrict_identity)
@@ -27,8 +26,8 @@ from .lattices import (EigenReport, classify_eigen,
                        nakamura_lattice, classify_palindromic,
                        search_palindromic, SearchEntry,
                        companion_palindromic)
-from .catalog import (CatalogEntry, get, list_names, group_law_eval,
-                      brackets_from_group_law, GroupLawReport)
+from .catalog import (CatalogEntry, get, list_names, brackets_from_group_law,
+                      GroupLawReport)
 from . import errors
 
 __version__ = "0.1.0"

@@ -51,27 +51,8 @@ class GroupLaw:
         self.from_real = from_real
 
     @property
-    def n_points(self) -> int:
-        return self.n_complex + self.n_real
-
-    @property
     def real_dim(self) -> int:
         return 2 * self.n_complex + self.n_real
-
-    def identity(self) -> Point:
-        return tuple(0j for _ in range(self.n_points))
-
-    def check_point(self, p: Sequence) -> Point:
-        if len(p) != self.n_points:
-            raise ValueError("point needs %d coordinates, got %d"
-                             % (self.n_points, len(p)))
-        out = []
-        for t, x in enumerate(p):
-            z = complex(x)
-            if t >= self.n_complex and abs(z.imag) > 1e-12:
-                raise ValueError("coordinate %d must be real" % t)
-            out.append(z)
-        return tuple(out)
 
 
 class CatalogEntry(NamedTuple):
@@ -357,13 +338,6 @@ def get(name: str, **params) -> CatalogEntry:
     if name not in _BUILDERS:
         raise UnknownName("no catalog entry named %r" % name)
     return _BUILDERS[name](params)
-
-
-def group_law_eval(entry: CatalogEntry, p: Sequence, q: Sequence) -> Point:
-    if entry.group_law is None:
-        raise NoGroupLaw("entry %r carries no group law" % entry.name)
-    law = entry.group_law
-    return law.mul(law.check_point(p), law.check_point(q))
 
 
 # ---------------------------------------------------------------------------

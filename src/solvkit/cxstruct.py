@@ -47,9 +47,6 @@ class AlmostComplexStructure:
     def dim(self) -> int:
         return len(self.matrix)
 
-    def apply(self, v: Sequence) -> List[Fraction]:
-        return linalg.mat_vec(self.matrix, [exact(x) for x in v])
-
     def __eq__(self, other):
         return (isinstance(other, AlmostComplexStructure)
                 and linalg.mat_eq(self.matrix, other.matrix))
@@ -71,17 +68,6 @@ def j_from_images(dim: int, images: dict) -> AlmostComplexStructure:
         for i, c in items:
             m[i][j] = c
     return AlmostComplexStructure(m)
-
-
-def nijenhuis(l: LieAlgebra, j: AlmostComplexStructure,
-              u: Sequence, v: Sequence) -> List[Fraction]:
-    ju = j.apply(u)
-    jv = j.apply(v)
-    term = l.bracket(ju, jv)
-    term = linalg.vec_sub(term, j.apply(l.bracket(ju, v)))
-    term = linalg.vec_sub(term, j.apply(l.bracket(u, jv)))
-    term = linalg.vec_sub(term, l.bracket(u, v))
-    return term
 
 
 class IntegrabilityReport(NamedTuple):
@@ -136,7 +122,10 @@ def subalgebra_from_j(l: LieAlgebra, j: AlmostComplexStructure) -> ComplexSubalg
     """span{X + i JX} inside complexify(l), with closure enforced.
 
     Raises NotIntegrable exactly when the Nijenhuis tensor is nonzero
-    (bracket closure of this span is equivalent to integrability).
+    (bracket closure of this span is equivalent to integrability). As
+    J^2 = -I, i (X + i JX) = Y + i JY for Y = -JX, and X + i JX =
+    Y - i JY forces X = Y = 0: the span is i-invariant and transverse to
+    its conjugate for every AlmostComplexStructure.
     """
     rep = is_integrable(l, j)
     if not rep.ok:
@@ -146,11 +135,6 @@ def subalgebra_from_j(l: LieAlgebra, j: AlmostComplexStructure) -> ComplexSubalg
     t, jt = j.scaled    # rows t (X_k + i J X_k): t e_k, then column k of t J
     rows = [[t * (i == k) for i in range(n)] + [r[k] for r in jt]
             for k in range(n)]
-    mult_i, sigma = lc._integer_i_and_sigma
-    if linalg.rank(rows + linalg.mat_mul(rows, mult_i)) != n:
-        raise InternalCheckFailed("holomorphic subspace has wrong dimension")
-    if linalg.rank(rows + linalg.mat_mul(rows, sigma)) != 2 * n:
-        raise NotTransverse("subspace meets its conjugate nontrivially")
     space = Subspace(2 * n, rows)
     # bracket closure (equivalent to the vanishing already checked; verified
     # independently, on lc's own adjoints, so the two roads cross-check)
@@ -188,16 +172,6 @@ def j_from_subspace(lc: LieAlgebra, space: Subspace) -> AlmostComplexStructure:
         raise NotTransverse("real parts of the subspace do not span") from exc
     return AlmostComplexStructure(
         linalg.mat_mul(linalg.transpose(b_im), re_inv))
-
-
-def is_complex_lie_algebra(l: LieAlgebra, j: AlmostComplexStructure) -> bool:
-    """True iff J commutes with every adjoint map: J[X, Y] = [JX, Y],
-    checked in ints as (t J) A_i = A_i (t J) for A_i = s ad(e_i)."""
-    if j.dim != l.dim:
-        raise ValueError("J dimension does not match the algebra")
-    jt = j.scaled[1]
-    return all(linalg.mat_mul(jt, a) == linalg.mat_mul(a, jt)
-               for a in l._integer_adjoints[1])
 
 
 def tautological_j(lc: LieAlgebra) -> AlmostComplexStructure:

@@ -27,10 +27,6 @@ class NotIntegrable(SolvkitError):
     """Almost complex structure fails the bracket-closure test."""
 
 
-class NotCompatible(SolvkitError):
-    """Two-form is not invariant under the almost complex structure."""
-
-
 class NotTransverse(SolvkitError):
     """Subspace does not meet its conjugate in a direct sum."""
 

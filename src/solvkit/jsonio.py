@@ -65,6 +65,16 @@ def _matrix_at(raw, dim: int, where: str) -> List[List[Fraction]]:
              for c, x in enumerate(row)] for r, row in enumerate(raw)]
 
 
+def _j_at(raw, dim: int) -> AlmostComplexStructure:
+    """The J of the dim x dim matrix `raw`; SchemaError if it is malformed
+    or not an almost complex structure."""
+    m = _matrix_at(raw, dim, "J")
+    try:
+        return AlmostComplexStructure(m)
+    except ValueError as e:
+        raise SchemaError("J: %s" % e)
+
+
 def algebra_from_document(doc: dict, validate: bool = True) -> LieAlgebra:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
@@ -141,22 +151,13 @@ def j_from_document(doc: dict) -> Optional[AlmostComplexStructure]:
     dim = doc.get("dim")
     if not isinstance(dim, int):
         raise SchemaError("dim: positive integer required")
-    m = _matrix_at(doc["J"], dim, "J")
-    try:
-        return AlmostComplexStructure(m)
-    except ValueError as e:
-        raise SchemaError("J: %s" % e)
+    return _j_at(doc["J"], dim)
 
 
 def load_j_matrix(path: str, dim: int) -> AlmostComplexStructure:
     """Read a J stored either bare ([[...]]) or under a "J" key."""
     doc = _read_json(path)
-    raw = doc.get("J") if isinstance(doc, dict) else doc
-    m = _matrix_at(raw, dim, "J")
-    try:
-        return AlmostComplexStructure(m)
-    except ValueError as e:
-        raise SchemaError("J: %s" % e)
+    return _j_at(doc.get("J") if isinstance(doc, dict) else doc, dim)
 
 
 def load_holonomy(path: str) -> List[List[List[Fraction]]]:

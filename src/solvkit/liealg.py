@@ -297,22 +297,17 @@ class LieAlgebra:
 
         Returns the 2n-dimensional real description with form "complex" and
         the standard conjugation sigma = diag(I, -I) fixing the embedded
-        original algebra.
+        original algebra: the realification of the same constants, read
+        as complex ones with imaginary part 0.
         """
         n = self.dim
-        brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-        for (i, j), row in self._table.items():
-            for k, entry in row.items():
-                c = entry.re
-                _put(brackets, i, j, k, c)            # [X_i, X_j] = c X_k
-                _put(brackets, i, n + j, n + k, c)    # [X_i, iX_j] = c iX_k
-                _put(brackets, n + i, j, n + k, c)    # [iX_i, X_j] = c iX_k
-                _put(brackets, n + i, n + j, k, -c)   # [iX_i, iX_j] = -c X_k
         sigma = [[Fraction(1 if (i == j and i < n) else (-1 if (i == j) else 0))
                   for j in range(2 * n)] for i in range(2 * n)]
         labels = self.basis + ["i*%s" % b for b in self.basis]
-        return LieAlgebra(2 * n, brackets, basis=labels, form="complex",
-                          sigma=sigma)
+        constants = ((i, j, k, c.re, 0) for (i, j), row in self._table.items()
+                     for k, c in row.items())
+        return LieAlgebra(2 * n, _split_table(n, constants), basis=labels,
+                          form="complex", sigma=sigma)
 
     def mult_i_matrix(self) -> List[List[Fraction]]:
         """Multiplication by i on a complex-form algebra (split-basis block map)."""
@@ -330,7 +325,7 @@ class LieAlgebra:
         """(I, S) in ints, with v I and v S positive multiples of i v and
         sigma v for each row v: the transposes of scaled mult_i_matrix()
         and sigma. Built once per complex-form algebra with sigma and read
-        by cxstruct's i-invariance and transversality checks."""
+        by j_from_subspace's i-invariance and transversality checks."""
         return tuple(linalg.transpose(linalg.scaled(m)[1])
                      for m in (self.mult_i_matrix(), self.sigma))
 
@@ -396,25 +391,32 @@ def realify_complex_brackets(cdim: int, brackets: Dict[Tuple[int, int], Dict[int
     scalars may be genuinely complex. The result has dimension 2*cdim, real
     constants, form "complex", and the split-basis convention.
     """
-    n = cdim
-    out: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    constants = []
     for (i, j), row in brackets.items():
         for k, raw in row.items():
             c = sc(raw)
-            a, b = c.re, c.im
-            # [Z_i, Z_j] = (a + ib) Z_k, extended C-bilinearly to the split basis
-            _put(out, i, j, k, a)
-            _put(out, i, j, n + k, b)
-            _put(out, i, n + j, n + k, a)
-            _put(out, i, n + j, k, -b)
-            _put(out, n + i, j, n + k, a)
-            _put(out, n + i, j, k, -b)
-            _put(out, n + i, n + j, k, -a)
-            _put(out, n + i, n + j, n + k, -b)
+            constants.append((i, j, k, c.re, c.im))
     labels = None
     if basis is not None:
         labels = list(basis) + ["i*%s" % b for b in basis]
-    return LieAlgebra(2 * n, out, basis=labels, form="complex")
+    return LieAlgebra(2 * cdim, _split_table(cdim, constants), basis=labels,
+                      form="complex")
+
+
+def _split_table(n: int, constants) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
+    """The real table of [Z_i, Z_j] = (a + ib) Z_k over the (i, j, k, a, b)
+    of constants, extended C-bilinearly to the split basis (Z, iZ)."""
+    out: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    for i, j, k, a, b in constants:
+        _put(out, i, j, k, a)
+        _put(out, i, j, n + k, b)
+        _put(out, i, n + j, n + k, a)
+        _put(out, i, n + j, k, -b)
+        _put(out, n + i, j, n + k, a)
+        _put(out, n + i, j, k, -b)
+        _put(out, n + i, n + j, k, -a)
+        _put(out, n + i, n + j, n + k, -b)
+    return out
 
 
 def _put(table: Dict[Tuple[int, int], Dict[int, Fraction]],

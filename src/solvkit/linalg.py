@@ -2,9 +2,10 @@
 
 Matrices are plain lists of lists; vectors are lists. Entries are read
 through scalars.exact, so floats and non-real values are refused. The
-eliminations (rref, rank and all that reads them), char_poly and min_poly
-run on the ints of scaled, through the one fraction-free echelon_add, and
-return exact Fractions.
+eliminations (rref, rank and all that reads them) and min_poly run on the
+ints of scaled through the one fraction-free echelon_add; char_poly, and
+det as its constant term, run on the same ints. All return exact
+Fractions.
 
 This is the one place that multiplies or combines matrices. mat_mul,
 mat_vec and mat_comb share one rule: zero entries (zero coefficients for
@@ -81,10 +82,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
                 acc = acc + row[p] * v[p]
         out.append(acc)
     return out
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return [x - y for x, y in zip(u, v)]
 
 
 def vec_scale(c, v: Vec) -> Vec:
@@ -214,26 +211,6 @@ def inverse(a: Mat) -> Mat:
     return [row[n:] for row in red]
 
 
-def det(a: Mat) -> Fraction:
-    """Determinant by elimination over the rationals."""
-    n = len(a)
-    m = [[exact(x) for x in row] for row in a]
-    acc = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            acc = -acc
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / m[c][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        acc *= m[c][c]
-    return acc
-
-
 # -- characteristic and minimal polynomials ----------------------------------
 
 
@@ -242,9 +219,12 @@ def char_poly(a: Mat) -> Poly:
 
     On B = s a from scaled, M_k = B M_(k-1) + c_(k-1) I and c_k =
     -tr(B M_k) / k are integers; det(t I - a) has c_k / s^k at t^(n-k).
+    ValueError if a is not square.
     """
     s, b = scaled(a)
     n = len(b)
+    if any(len(row) != n for row in b):
+        raise ValueError("matrix is not square")
     coeffs = [0] * n + [1]
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
@@ -255,6 +235,11 @@ def char_poly(a: Mat) -> Poly:
         for i in range(n):
             mk[i][i] += c
     return Poly(coeffs)
+
+
+def det(a: Mat) -> Fraction:
+    """(-1)^n times the constant coefficient of char_poly(a)."""
+    return (-1) ** len(a) * char_poly(a)[0]
 
 
 def min_poly(a: Mat) -> Poly:

@@ -22,14 +22,20 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import linalg
 from .cohomology import Cochain, ce_d
 from .cxstruct import AlmostComplexStructure, is_integrable
-from .errors import BoundTooLarge, NotCompatible, NotIntegrable
+from .errors import BoundTooLarge, NotIntegrable
 from .liealg import LieAlgebra
 from .polys import descartes_positive_count
 from .scalars import exact
 
 
 def _gram(omega: Cochain, j: AlmostComplexStructure) -> List[List[Fraction]]:
-    """G[i][k] = omega(e_i, J e_k): the matrix of omega times J."""
+    """G[i][k] = omega(e_i, J e_k): the matrix of omega times J.
+
+    As J^2 = -I, omega is J-compatible, omega(JX, JY) = omega(X, Y) for
+    all X, Y, exactly when G is symmetric: omega(JX, JY) = G(JX, Y) and
+    G(Y, JX) = omega(X, Y), so symmetry gives compatibility; compatibility
+    gives G(Y, X) = -omega(JX, Y) = -omega(J^2 X, JY) = G(X, Y).
+    """
     form = omega.matrix()
     if omega.dim != j.dim:
         raise ValueError("dimension mismatch")
@@ -39,25 +45,6 @@ def _gram(omega: Cochain, j: AlmostComplexStructure) -> List[List[Fraction]]:
 def _is_symmetric(m: List[List[Fraction]]) -> bool:
     return all(m[i][k] == m[k][i]
                for i in range(len(m)) for k in range(i + 1, len(m)))
-
-
-def j_compatible(omega: Cochain, j: AlmostComplexStructure) -> bool:
-    """omega(JX, JY) = omega(X, Y), checked exactly.
-
-    Since J^2 = -I this holds exactly when G = omega(., J.) is symmetric:
-    G(Y, X) = omega(Y, JX) = -omega(JX, Y), and omega(JX, Y) =
-    omega(J^2 X, JY) = -omega(X, JY) for a J-invariant omega, while
-    symmetry of G gives omega(JX, JY) = -omega(J^2 X, Y) = omega(X, Y).
-    """
-    return _is_symmetric(_gram(omega, j))
-
-
-def metric_from(omega: Cochain, j: AlmostComplexStructure) -> List[List[Fraction]]:
-    """Gram matrix g(X_i, X_j) = omega(X_i, J X_j); requires compatibility."""
-    gram = _gram(omega, j)
-    if not _is_symmetric(gram):
-        raise NotCompatible("form is not invariant under J")
-    return gram
 
 
 def signature(gram: Sequence[Sequence[object]]) -> Tuple[int, int]:

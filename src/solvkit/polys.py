@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 
 class Poly:
@@ -67,83 +67,13 @@ class Poly:
             terms.append("%s*%s" % (c, mono) if k else str(c))
         return "Poly(%s)" % " + ".join(terms)
 
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] - other[k] for k in range(n)])
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "Poly"):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly([]), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top == 0:
-                continue
-            f = top / lead
-            quo[k] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= f * b
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+    # -- structure -----------------------------------------------------------
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
         lead = self.leading()
         return Poly([c / lead for c in self.coeffs])
-
-    def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    # -- evaluation --------------------------------------------------------
-
-    def eval_fraction(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    # -- structure -----------------------------------------------------------
-
-    def reciprocal(self) -> "Poly":
-        """t^deg * p(1/t): the coefficient sequence reversed."""
-        return Poly(list(reversed(self.coeffs)))
 
     def compose_negate(self) -> "Poly":
         """p(-t): flips the sign of odd-degree coefficients."""
@@ -152,10 +82,6 @@ class Poly:
 
     def is_palindromic(self) -> bool:
         return not self.is_zero and self.coeffs == tuple(reversed(self.coeffs))
-
-
-def poly_from_descending(coeffs: Sequence) -> Poly:
-    return Poly(list(reversed(list(coeffs))))
 
 
 def _primitive(a: List[int]) -> List[int]:
@@ -239,11 +165,6 @@ def _count(chain: List[List[int]], a=None, b=None) -> int:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(_gcd(_ints(a), _ints(b))).monic()
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'); same root set, every root simple."""
-    return Poly(_squarefree(_ints(p))).monic()
 
 
 def is_squarefree(p: Poly) -> bool:

@@ -169,17 +169,15 @@ API = [
     "build_lattice_nonnilpotent", "ce_d", "char_poly", "classify",
     "classify_eigen", "classify_palindromic", "closed_compatible_space",
     "closed_holomorphic_1forms", "companion_palindromic", "conjugate_form",
-    "count_real_roots", "errors", "ext_d", "factor_rational",
-    "format_scalar", "get", "group_law_eval", "h1_lie",
-    "has_unit_modulus_root", "is_complex_lie_algebra", "is_integrable",
-    "is_squarefree", "j_compatible", "j_from_images", "j_from_subspace",
-    "list_names", "maurer_cartan_forms", "metric_from", "nakamura_lattice",
-    "nijenhuis", "omega_coordinate", "omega_mc", "parse_scalar",
-    "poly_from_descending", "pseudo_kahler_obstruction",
-    "pullback_translation", "realify_complex_brackets", "restrict_identity",
-    "sc", "search_palindromic", "semisimple_commuting_check", "signature",
-    "squarefree_part", "subalgebra_from_j", "sweep_invariant_forms",
-    "tautological_j", "winkelmann_h1",
+    "count_real_roots", "errors", "ext_d", "factor_rational", "format_scalar",
+    "get", "h1_lie", "has_unit_modulus_root", "is_integrable",
+    "is_squarefree", "j_from_images", "j_from_subspace", "list_names",
+    "maurer_cartan_forms", "nakamura_lattice", "omega_coordinate", "omega_mc",
+    "parse_scalar", "pseudo_kahler_obstruction", "pullback_translation",
+    "realify_complex_brackets", "restrict_identity", "sc",
+    "search_palindromic", "semisimple_commuting_check", "signature",
+    "subalgebra_from_j", "sweep_invariant_forms", "tautological_j",
+    "winkelmann_h1",
 ]
 
 
@@ -190,12 +188,6 @@ def test_the_exports_are_the_pinned_api():
 
 # public methods that nothing in the package reads, kept for the reason given
 KEPT_METHODS = {
-    ("polys", "Poly.derivative"): "the Fraction ring test_polys checks the "
-                                  "integer routes against",
-    ("polys", "Poly.eval_fraction"): "the Fraction ring test_polys checks "
-                                     "the integer routes against",
-    ("polys", "Poly.reciprocal"): "the Fraction ring test_polys checks the "
-                                  "integer routes against",
     ("lattices", "SearchEntry.polynomial"): "documented in the README",
     ("lattices", "SearchEntry.companion"): "documented in the README",
     ("liealg", "LieAlgebra.unimodular_check"): "documented in the README",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from solvkit import catalog, linalg
 from solvkit.errors import InternalCheckFailed, NotSolvable
-from solvkit.liealg import (JacobiReport, LieAlgebra, _trace_columns,
+from solvkit.liealg import (JacobiReport, LieAlgebra, _put, _trace_columns,
                             is_nilpotent_matrix, realify_complex_brackets)
 from solvkit.linalg import Subspace
 from solvkit.polys import all_roots_pure_imaginary, all_roots_real
@@ -771,3 +771,34 @@ def test_realify_complex_brackets():
     assert alg2.bracket_basis(0, 1)[3] == Scalar(1)   # [X, Y] = iY
     assert alg2.bracket_basis(0, 3)[1] == Scalar(-1)  # [X, iY] = -Y
     assert alg2.jacobi_check().ok
+
+
+def _complexify_reference(l):
+    """The real-only loop complexify ran before it read the realification
+    table: [X_i, X_j] = c X_k in the split basis, and sigma = diag(I, -I)."""
+    n = l.dim
+    brackets = {}
+    for (i, j), row in l._table.items():
+        for k, entry in row.items():
+            c = entry.re
+            _put(brackets, i, j, k, c)            # [X_i, X_j] = c X_k
+            _put(brackets, i, n + j, n + k, c)    # [X_i, iX_j] = c iX_k
+            _put(brackets, n + i, j, n + k, c)    # [iX_i, X_j] = c iX_k
+            _put(brackets, n + i, n + j, k, -c)   # [iX_i, iX_j] = -c X_k
+    sigma = [[Fraction(1 if (i == j and i < n) else (-1 if (i == j) else 0))
+              for j in range(2 * n)] for i in range(2 * n)]
+    labels = l.basis + ["i*%s" % b for b in l.basis]
+    return LieAlgebra(2 * n, brackets, basis=labels, form="complex",
+                      sigma=sigma)
+
+
+def test_complexify_matches_the_real_only_loop():
+    """On the catalog and 200 seeded tables: the same table with keys and
+    rows in the same order, the same labels, form and sigma."""
+    algebras = [catalog.get(name).algebra for name in catalog.list_names()]
+    for l in algebras + list(_random_tables(28, 200)):
+        got, want = l.complexify(), _complexify_reference(l)
+        assert [(key, list(row.items())) for key, row in got._table.items()] \
+            == [(key, list(row.items())) for key, row in want._table.items()]
+        assert (got.dim, got.basis, got.form, got.sigma) == \
+            (want.dim, want.basis, want.form, want.sigma)

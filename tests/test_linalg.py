@@ -263,6 +263,66 @@ def test_det_scalar_entries():
         linalg.det(m)
 
 
+def _det_reference(a):
+    """Determinant by elimination over the rationals: the Gauss loop det
+    ran before it read char_poly."""
+    n = len(a)
+    m = [[exact(x) for x in row] for row in a]
+    acc = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            acc = -acc
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] / m[c][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+        acc *= m[c][c]
+    return acc
+
+
+def test_det_matches_the_gauss_route():
+    """det, (-1)^n times char_poly's constant term, against the Fraction
+    elimination it replaced on 240 seeded matrices of sizes 0-6: int,
+    Fraction, int with a row combining the others, and Fraction with a
+    column a multiple of another."""
+    rng = random.Random(28)
+    sizes, singular = set(), 0
+    for trial in range(240):
+        n = rng.randint(0 if trial % 4 < 2 else 1, 6)
+        if trial % 4 == 0:
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        elif trial % 4 == 1:
+            a = _rand_matrix(rng, n, n)
+        elif trial % 4 == 2:
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+            c = [rng.randint(-2, 2) for _ in a]
+            a.insert(rng.randint(0, n - 1), [
+                sum(x * row[k] for x, row in zip(c, a)) for k in range(n)])
+        else:
+            a = _rand_matrix(rng, n, n)
+            src, dst = rng.randrange(n), rng.randrange(n)
+            f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for row in a:
+                row[dst] = f * row[src] if src != dst else 0
+        got = linalg.det(a)
+        assert got == _det_reference(a) and type(got) is Fraction, a
+        sizes.add(n)
+        singular += got == 0
+    assert sizes == set(range(7)) and singular >= 120
+
+
+@pytest.mark.parametrize("a", [[[1, 2]], [[1], [2]], [[1, 2], [3]]],
+                         ids=["1x2", "2x1", "ragged"])
+def test_char_poly_and_det_refuse_a_matrix_that_is_not_square(a):
+    for call in (linalg.char_poly, linalg.det):
+        with pytest.raises(ValueError, match="matrix is not square"):
+            call(a)
+
+
 def test_int_input_stays_exact():
     assert linalg.nullspace([[3, 1]]) == [[Fraction(-1, 3), Fraction(1)]]
     assert all(type(x) is Fraction for x in linalg.nullspace([[3, 1]])[0])
@@ -340,7 +400,7 @@ def _min_poly_by_rank(a):
         if flats and linalg.rank(cols) == len(flats):
             sol = linalg.solve([list(r) for r in linalg.transpose(flats)], flat)
             assert sol is not None
-            return Poly(list(sol) + [Fraction(-1)]) * Fraction(-1)
+            return Poly([-x for x in sol] + [1])
         flats.append(flat)
         power = linalg.mat_mul(power, m)
     raise AssertionError("no dependence among matrix powers up to dimension")

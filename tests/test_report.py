@@ -72,7 +72,7 @@ def test_no_pairwise_bracket_in_a_core_pass_or_h1_or_the_subalgebra(
         monkeypatch):
     """The structural answers read the integer adjoints: no LieAlgebra.bracket
     call in one core pass, nor in winkelmann_h1 or subalgebra_from_j on any
-    catalog entry (the only src callers left are nijenhuis and adjoint)."""
+    catalog entry (the only src caller left is LieAlgebra.adjoint)."""
     calls = []
     real_bracket = LieAlgebra.bracket
 
